@@ -286,6 +286,38 @@ fn fixed_and_uptime_match_goldens_across_thread_counts() {
     }
 }
 
+/// The paper-figure lane (per-step critical range for fig2, sampled
+/// merge profiles for fig4) must match the goldens captured before the
+/// windowed Kruskal routines replaced the from-scratch oracles, at any
+/// thread count.
+#[test]
+fn fig2_and_fig4_quick_match_goldens_across_thread_counts() {
+    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens");
+    for threads in ["1", "3"] {
+        let dir = temp_out(&format!("fig_goldens_t{threads}"));
+        for fig in ["fig2", "fig4"] {
+            let out = repro()
+                .args([fig, "--quick", "--threads", threads, "--out"])
+                .arg(&dir)
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let got = std::fs::read_to_string(dir.join(format!("{fig}.csv"))).unwrap();
+            let want =
+                std::fs::read_to_string(golden_dir.join(format!("{fig}_quick.csv"))).unwrap();
+            assert_eq!(
+                got, want,
+                "{fig}.csv diverged from tests/goldens at --threads {threads}"
+            );
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
 /// Blanks the value following `start_pat` (up to `end`) so manifest
 /// fields that legitimately vary between runs — the recorded worker
 /// thread count and the build-profile `features` provenance — don't

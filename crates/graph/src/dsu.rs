@@ -46,6 +46,21 @@ impl UnionFind {
         }
     }
 
+    /// Resets to `n` singleton sets, reusing the existing buffers (the
+    /// per-step scratch of [`crate::WindowedKruskal`]).
+    pub fn reset(&mut self, n: usize) {
+        assert!(
+            n <= u32::MAX as usize,
+            "UnionFind supports up to 2^32 - 1 elements"
+        );
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        self.size.clear();
+        self.size.resize(n, 1);
+        self.components = n;
+        self.largest = if n == 0 { 0 } else { 1 };
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -182,6 +197,17 @@ mod tests {
         let uf1 = UnionFind::new(1);
         assert!(uf1.is_single_component());
         assert_eq!(uf1.largest_component(), 1);
+    }
+
+    #[test]
+    fn reset_equals_fresh_structure() {
+        let mut uf = UnionFind::new(3);
+        uf.union(0, 1);
+        uf.union(1, 2);
+        uf.reset(5);
+        assert_eq!(uf, UnionFind::new(5));
+        uf.reset(0);
+        assert_eq!(uf, UnionFind::new(0));
     }
 
     #[test]

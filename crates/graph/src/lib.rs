@@ -17,6 +17,9 @@
 //!   derived;
 //! * [`merge`] — the full Kruskal merge profile: largest component
 //!   size as a step function of the range;
+//! * [`window`] — [`WindowedKruskal`], both of the above for a moving
+//!   point set from the pairs near the previous step's answer, checked
+//!   exact and bit-identical to the `mst`/`merge` oracles;
 //! * [`dynamic`] — edge deltas between snapshots and [`DynamicGraph`],
 //!   the streaming path that feeds the temporal-connectivity subsystem
 //!   (`manet-trace`) with per-step changed edges instead of `O(n²)`
@@ -61,6 +64,7 @@ pub mod kconn;
 pub mod merge;
 pub mod mst;
 mod parallel;
+pub mod window;
 
 pub use adjacency::AdjacencyList;
 pub use components::ComponentSummary;
@@ -69,3 +73,4 @@ pub use dynamic::{DynamicGraph, EdgeDiff, Skin};
 pub use dynamic_components::{DynamicComponents, FULL_REBUILD_CHURN_FRACTION};
 pub use merge::MergeProfile;
 pub use mst::{critical_range, minimum_spanning_tree, MstEdge};
+pub use window::{WindowStats, WindowedKruskal};

@@ -42,28 +42,59 @@ pub struct MergeProfile {
     events: Vec<(f64, u32)>,
 }
 
+/// A node pair keyed for the merge order: `(d².to_bits(), a, b)` with
+/// `a < b`.
+///
+/// **Tie rule.** Pairs merge in increasing `(d², a, b)` order. A
+/// squared distance is a non-negative finite float, and for those the
+/// IEEE bit pattern orders exactly as the value, so the derived tuple
+/// order is a total order on pairs. Tied distances therefore merge
+/// lowest `a` first, then lowest `b`. [`MergeProfile::of`] and
+/// [`crate::WindowedKruskal::merge_profile`] both sort by this key, which
+/// is what makes their event vectors identical even where tied
+/// distances would record different intermediate sizes.
+pub(crate) type PairKey = (u64, u32, u32);
+
+/// Keys the pair `(a, b)`, `a < b`, at squared distance `d2`.
+pub(crate) fn pair_key(d2: f64, a: usize, b: usize) -> PairKey {
+    (d2.to_bits(), a as u32, b as u32)
+}
+
 impl MergeProfile {
     /// Builds the profile of `points` by sorting all `O(n²)` pairwise
     /// distances and merging with union-find.
+    ///
+    /// Pairs merge in increasing `(d², a, b)` order (`a < b`): tied
+    /// distances merge lowest `a` first, then lowest `b`. The order
+    /// matters because ties can record different intermediate sizes;
+    /// [`crate::WindowedKruskal::merge_profile`] uses the same order.
     pub fn of<const D: usize>(points: &[Point<D>]) -> Self {
         let n = points.len();
-        let mut dists = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
+        let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
         for i in 0..n {
             for j in (i + 1)..n {
-                dists.push((points[i].distance_sq(&points[j]), i as u32, j as u32));
+                pairs.push(pair_key(points[i].distance_sq(&points[j]), i, j));
             }
         }
-        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite")); // lint:allow(R3): distances of finite points are finite, so the comparator is total
+        pairs.sort_unstable();
+        Self::merge_sorted(&pairs, &mut UnionFind::new(n))
+    }
 
-        let mut uf = UnionFind::new(n);
+    /// Runs the merge process over `pairs`, which must be sorted by
+    /// [`PairKey`], on the fresh singletons `uf`. The event list is
+    /// complete (its last size is `n`) whenever `pairs` is a prefix of
+    /// the full sorted pair list long enough to connect the points;
+    /// callers holding a shorter prefix check that themselves.
+    pub(crate) fn merge_sorted(pairs: &[PairKey], uf: &mut UnionFind) -> Self {
+        let n = uf.len();
         let mut events = Vec::new();
         let mut current_max = if n == 0 { 0 } else { 1u32 };
-        for (d2, i, j) in dists {
+        for &(bits, i, j) in pairs {
             uf.union(i as usize, j as usize);
             let m = uf.largest_component() as u32;
             if m > current_max {
                 current_max = m;
-                events.push((d2.sqrt(), m));
+                events.push((f64::from_bits(bits).sqrt(), m));
                 if m as usize == n {
                     break;
                 }
@@ -211,6 +242,16 @@ mod tests {
             assert!(prof.largest_component_at(r * (1.0 - 1e-9)) < target);
         }
         assert_eq!(prof.range_for_size(pts.len() + 1), None);
+    }
+
+    #[test]
+    fn tied_distances_merge_in_pair_order() {
+        // Three pairs tie at distance 1. Merging (0,1), (1,2), (2,3) in
+        // that order records sizes 2, 3, 4; the order (0,1), (2,3),
+        // (1,2) would record only 2 and 4.
+        let pts: Vec<Point<1>> = (0..4).map(|x| Point::new([x as f64])).collect();
+        let prof = MergeProfile::of(&pts);
+        assert_eq!(prof.events(), &[(1.0, 2), (1.0, 3), (1.0, 4)]);
     }
 
     #[test]

@@ -668,3 +668,177 @@ fn sharded_step_observables_bit_identical_across_thread_counts_for_every_model()
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Windowed Kruskal: the per-step critical range and the sampled merge
+// profiles, windowed around the previous answer by the model's
+// declared displacement bound, against the Prim and `MergeProfile::of`
+// oracles — bit for bit, for every registry model (the unbounded
+// gauss-markov and wrap families and the stationary model included).
+// ---------------------------------------------------------------------------
+
+use manet_graph::{WindowStats, WindowedKruskal};
+
+/// Replays `steps` of the named registry model, asserting at every step
+/// that the windowed critical range equals Prim's bit for bit and, every
+/// `stride`-th step, that the windowed merge profile's events equal the
+/// oracle's bit for bit. Returns the two routines' statistics
+/// (critical, profile).
+fn replay_windowed_against_oracles(
+    model_name: &str,
+    n: usize,
+    side: f64,
+    steps: usize,
+    stride: usize,
+    seed: u64,
+) -> Result<(WindowStats, WindowStats), TestCaseError> {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let scale = PaperScale::new(side).with_pause(3);
+    let mut model = registry.build(model_name, &scale).expect("registry model");
+    let region: Region<2> = Region::new(side).expect("positive side");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut positions = region.place_uniform(n, &mut rng);
+    model.init(&positions, &region, &mut rng);
+
+    let bound = model.max_step_displacement();
+    let mut critical = WindowedKruskal::new();
+    let mut profiles = WindowedKruskal::new();
+    let (mut previous, mut previous_profile) = (None, None);
+    for step in 0..steps {
+        if step > 0 {
+            model.step(&mut positions, &region, &mut rng);
+        }
+        let c = critical.critical_range(&positions, previous, bound.map(|d| 2.0 * d));
+        prop_assert_eq!(
+            c.to_bits(),
+            critical_range(&positions).to_bits(),
+            "{}: critical range at step {}",
+            model_name,
+            step
+        );
+        previous = Some(c);
+        if step % stride == 0 {
+            let drift = bound.map(|d| 2.0 * d * stride as f64);
+            let got = profiles.merge_profile(&positions, previous_profile, drift);
+            let want = MergeProfile::of(&positions);
+            let bits = |p: &MergeProfile| -> Vec<(u64, u32)> {
+                p.events().iter().map(|&(r, s)| (r.to_bits(), s)).collect()
+            };
+            prop_assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{}: merge profile at step {}",
+                model_name,
+                step
+            );
+            previous_profile = got.critical_range();
+        }
+    }
+    Ok((critical.stats(), profiles.stats()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn windowed_kruskal_matches_oracles_for_every_registry_model(
+        model_idx in 0usize..13,
+        n in 2usize..40,
+        steps in 1usize..40,
+        stride in 1usize..6,
+        seed in 0u64..1_000_000,
+    ) {
+        let registry = ModelRegistry::<2>::with_builtins();
+        let names = registry.names();
+        prop_assert_eq!(names.len(), 13, "registry model count drifted");
+        let name = names[model_idx % names.len()];
+        let (crit, prof) = replay_windowed_against_oracles(name, n, 100.0, steps, stride, seed)?;
+        prop_assert_eq!(crit.windowed + crit.cold + crit.rejected, steps as u64);
+        prop_assert_eq!(
+            prof.windowed + prof.cold + prof.rejected,
+            steps.div_ceil(stride) as u64
+        );
+    }
+}
+
+/// Deterministic sweep of all 13 registry models: every step exact,
+/// the unbounded models always cold, and the bounded moving ones
+/// windowed on every step after the first.
+#[test]
+fn windowed_kruskal_window_use_across_registry_models() {
+    let registry = ModelRegistry::<2>::with_builtins();
+    let scale = PaperScale::new(100.0).with_pause(3);
+    for name in registry.names() {
+        let bound = registry
+            .build(name, &scale)
+            .expect("registry model")
+            .max_step_displacement();
+        let (crit, prof) = replay_windowed_against_oracles(name, 32, 100.0, 60, 3, 7).unwrap();
+        match bound {
+            None => {
+                assert_eq!(crit.cold, 60, "{name}: no bound, no window");
+                assert_eq!(prof.cold, 20, "{name}: no bound, no window");
+            }
+            // The stationary model's window has zero width, so it
+            // survives only when sqrt-then-square rounds back exactly;
+            // its exactness is still asserted on every step above.
+            Some(0.0) => {}
+            Some(_) => {
+                assert_eq!(crit.cold, 1, "{name}: only step 0 is cold");
+                assert_eq!(prof.cold, 1, "{name}: only the first sample is cold");
+                // RPGM's first step gathers members onto their
+                // leaders, beyond its steady-state bound.
+                let allowed = u64::from(name == "rpgm");
+                assert!(crit.rejected <= allowed, "{name}: {crit:?}");
+                assert!(prof.rejected <= allowed, "{name}: {prof:?}");
+            }
+        }
+    }
+}
+
+/// A trajectory that breaks its declared bound: every fifth step the
+/// whole configuration is scaled about the origin (alternately by 4
+/// and by 1/4) while the declared per-step bound stays 0.1. Those steps
+/// move the critical range far outside the window in both directions,
+/// so both checks must reject it and the oracle must answer.
+#[test]
+fn windowed_kruskal_bound_violation_forces_fallback() {
+    let side = 100.0;
+    let region: Region<2> = Region::new(side).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+    let mut positions = region.place_uniform(24, &mut rng);
+    let d = 0.1;
+    let mut wk = WindowedKruskal::new();
+    let mut profiles = WindowedKruskal::new();
+    let mut previous = None;
+    let mut previous_profile = None;
+    let mut violations = 0u64;
+    for step in 0..40 {
+        if step % 5 == 4 {
+            let factor = if (step / 5) % 2 == 0 { 4.0 } else { 0.25 };
+            for p in &mut positions {
+                *p = Point::new([p.coord(0) * factor, p.coord(1) * factor]);
+            }
+            violations += 1;
+        } else if step > 0 {
+            for p in &mut positions {
+                *p = Point::new([p.coord(0) + 0.05, p.coord(1) - 0.05]);
+            }
+        }
+        let c = wk.critical_range(&positions, previous, Some(2.0 * d));
+        assert_eq!(c.to_bits(), critical_range(&positions).to_bits());
+        previous = Some(c);
+        let prof = profiles.merge_profile(&positions, previous_profile, Some(2.0 * d));
+        assert_eq!(prof, MergeProfile::of(&positions));
+        previous_profile = prof.critical_range();
+    }
+    for stats in [wk.stats(), profiles.stats()] {
+        assert_eq!(stats.cold, 1);
+        assert!(stats.rejected >= violations / 2, "{stats:?}");
+        assert_eq!(stats.fallbacks(), stats.cold + stats.rejected);
+    }
+    // Growth escapes both windows; shrinking escapes only the critical
+    // range's (a shrunken configuration still connects within reach).
+    assert_eq!(wk.stats().rejected, violations);
+    assert_eq!(profiles.stats().rejected, violations / 2);
+}

@@ -16,27 +16,70 @@ use crate::{
     stream::{run_connectivity_stream, ConnectivityObserver, StepView},
     SimError,
 };
-use manet_graph::critical_range;
+use manet_graph::{WindowStats, WindowedKruskal};
 use manet_mobility::Mobility;
 use manet_stats::{FrozenSeries, RunningMoments};
 
 /// Observer computing the critical transmitting range of every step
 /// (positions-only lane of the connectivity stream: the MST bottleneck
 /// needs no fixed-range snapshot).
+///
+/// Each step is windowed around the previous step's value: with the
+/// model's declared per-step displacement bound `d`, no pair distance
+/// moves by more than `2d` between consecutive steps
+/// ([`WindowedKruskal::critical_range`] checks rather than trusts it).
 struct CriticalRangeObserver {
+    step_bound: Option<f64>,
+    previous: Option<f64>,
+    kruskal: WindowedKruskal,
     series: Vec<f64>,
 }
 
+/// One iteration's critical ranges in time order, with the window
+/// statistics of the routine that computed them.
+pub(crate) struct CriticalSeries {
+    pub(crate) series: Vec<f64>,
+    pub(crate) stats: WindowStats,
+}
+
 impl<const D: usize> ConnectivityObserver<D> for CriticalRangeObserver {
-    type Output = Vec<f64>;
+    type Output = CriticalSeries;
 
     fn observe(&mut self, view: &StepView<'_, D>) {
-        self.series.push(critical_range(view.positions()));
+        let drift = self.step_bound.map(|d| 2.0 * d);
+        let c = self
+            .kruskal
+            .critical_range(view.positions(), self.previous, drift);
+        self.previous = Some(c);
+        self.series.push(c);
     }
 
-    fn finish(self) -> Vec<f64> {
-        self.series
+    fn finish(self) -> CriticalSeries {
+        CriticalSeries {
+            series: self.series,
+            stats: self.kruskal.stats(),
+        }
     }
+}
+
+/// Runs the campaign and returns every iteration's critical-range
+/// series in time order (the shared core of
+/// [`simulate_critical_ranges`] and
+/// [`crate::simulate_raw_critical_series`]).
+pub(crate) fn critical_series<const D: usize, M>(
+    config: &SimConfig<D>,
+    model: &M,
+) -> Result<Vec<CriticalSeries>, SimError>
+where
+    M: Mobility<D> + Clone + Send + Sync,
+{
+    let step_bound = model.max_step_displacement();
+    run_connectivity_stream(config, model, None, |_| CriticalRangeObserver {
+        step_bound,
+        previous: None,
+        kruskal: WindowedKruskal::new(),
+        series: Vec::with_capacity(config.steps()),
+    })
 }
 
 /// Runs the campaign and records the critical range of every step of
@@ -54,14 +97,16 @@ pub fn simulate_critical_ranges<const D: usize, M>(
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    let raw = run_connectivity_stream(config, model, None, |_| CriticalRangeObserver {
-        series: Vec::with_capacity(config.steps()),
-    })?;
-    let per_iteration = raw
-        .into_iter()
-        .map(FrozenSeries::new)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(CriticalRangeResults { per_iteration })
+    let mut window_stats = WindowStats::default();
+    let mut per_iteration = Vec::with_capacity(config.iterations());
+    for s in critical_series(config, model)? {
+        window_stats.merge(&s.stats);
+        per_iteration.push(FrozenSeries::new(s.series)?);
+    }
+    Ok(CriticalRangeResults {
+        per_iteration,
+        window_stats,
+    })
 }
 
 /// Critical-range series of a whole campaign, one frozen series per
@@ -69,6 +114,7 @@ where
 #[derive(Debug, Clone)]
 pub struct CriticalRangeResults {
     per_iteration: Vec<FrozenSeries>,
+    window_stats: WindowStats,
 }
 
 impl CriticalRangeResults {
@@ -76,7 +122,19 @@ impl CriticalRangeResults {
     /// for tests and tools; [`simulate_critical_ranges`] is the normal
     /// entry point).
     pub fn from_series(per_iteration: Vec<FrozenSeries>) -> Self {
-        CriticalRangeResults { per_iteration }
+        CriticalRangeResults {
+            per_iteration,
+            window_stats: WindowStats::default(),
+        }
+    }
+
+    /// How the per-step critical ranges were computed, summed over
+    /// iterations: from the window around the previous step, or by the
+    /// Prim oracle (each iteration's step 0, models without a declared
+    /// displacement bound, rejected windows). Zero for results built
+    /// with [`CriticalRangeResults::from_series`].
+    pub fn window_stats(&self) -> WindowStats {
+        self.window_stats
     }
 
     /// Per-iteration sorted critical-range series.

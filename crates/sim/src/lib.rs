@@ -91,7 +91,7 @@ pub use critical::{
 };
 pub use engine::{run_simulation, StepObserver};
 pub use fixed::{simulate_fixed_range, FixedRangeReport, IterationStats};
-pub use manet_graph::Skin;
+pub use manet_graph::{Skin, WindowStats};
 pub use profile::{simulate_profiles, ProfileResults, RangeSizeProfile};
 pub use quantity::{measure_mobility_quantity, MobilityQuantity};
 pub use scaling::{

@@ -19,7 +19,7 @@ use crate::{
     stream::{run_connectivity_stream, ConnectivityObserver, StepView},
     SimError,
 };
-use manet_graph::MergeProfile;
+use manet_graph::{MergeProfile, WindowStats, WindowedKruskal};
 use manet_mobility::Mobility;
 use manet_stats::RunningMoments;
 
@@ -185,22 +185,35 @@ impl RangeSizeProfile {
 
 /// Observer accumulating merge profiles every `stride`-th step
 /// (positions-only stream lane).
+///
+/// Each sample is windowed around the previous sample's critical
+/// range: with the model's declared per-step displacement bound `d`, no
+/// pair distance moves by more than `2·d·stride` between samples
+/// ([`WindowedKruskal::merge_profile`] checks rather than trusts it).
 struct ProfileObserver {
     stride: usize,
+    step_bound: Option<f64>,
+    previous: Option<f64>,
+    kruskal: WindowedKruskal,
     profile: RangeSizeProfile,
 }
 
 impl<const D: usize> ConnectivityObserver<D> for ProfileObserver {
-    type Output = RangeSizeProfile;
+    type Output = (RangeSizeProfile, WindowStats);
 
     fn observe(&mut self, view: &StepView<'_, D>) {
         if view.step().is_multiple_of(self.stride) {
-            self.profile.accumulate(&MergeProfile::of(view.positions()));
+            let drift = self.step_bound.map(|d| 2.0 * d * self.stride as f64);
+            let merge = self
+                .kruskal
+                .merge_profile(view.positions(), self.previous, drift);
+            self.previous = merge.critical_range();
+            self.profile.accumulate(&merge);
         }
     }
 
-    fn finish(self) -> RangeSizeProfile {
-        self.profile
+    fn finish(self) -> (RangeSizeProfile, WindowStats) {
+        (self.profile, self.kruskal.stats())
     }
 }
 
@@ -208,12 +221,25 @@ impl<const D: usize> ConnectivityObserver<D> for ProfileObserver {
 #[derive(Debug, Clone)]
 pub struct ProfileResults {
     per_iteration: Vec<RangeSizeProfile>,
+    window_stats: WindowStats,
 }
 
 impl ProfileResults {
     /// Builds results from pre-computed profiles (tests/tools).
     pub fn from_profiles(per_iteration: Vec<RangeSizeProfile>) -> Self {
-        ProfileResults { per_iteration }
+        ProfileResults {
+            per_iteration,
+            window_stats: WindowStats::default(),
+        }
+    }
+
+    /// How the sampled merge profiles were computed, summed over
+    /// iterations: from the window around the previous sample, or by
+    /// the [`MergeProfile::of`] oracle (each iteration's first sample,
+    /// models without a declared displacement bound, rejected windows).
+    /// Zero for results built with [`ProfileResults::from_profiles`].
+    pub fn window_stats(&self) -> WindowStats {
+        self.window_stats
     }
 
     /// Per-iteration profiles.
@@ -292,8 +318,12 @@ where
         config.profile_max_range(),
         config.profile_bins(),
     )?;
-    let per_iteration = run_connectivity_stream(config, model, None, |_| ProfileObserver {
+    let step_bound = model.max_step_displacement();
+    let runs = run_connectivity_stream(config, model, None, |_| ProfileObserver {
         stride: config.profile_stride(),
+        step_bound,
+        previous: None,
+        kruskal: WindowedKruskal::new(),
         profile: RangeSizeProfile::new(
             config.nodes(),
             config.profile_max_range(),
@@ -301,7 +331,16 @@ where
         )
         .expect("grid validated above"), // lint:allow(R3): grid parameters validated just above
     })?;
-    Ok(ProfileResults { per_iteration })
+    let mut window_stats = WindowStats::default();
+    let mut per_iteration = Vec::with_capacity(runs.len());
+    for (profile, stats) in runs {
+        window_stats.merge(&stats);
+        per_iteration.push(profile);
+    }
+    Ok(ProfileResults {
+        per_iteration,
+        window_stats,
+    })
 }
 
 #[cfg(test)]

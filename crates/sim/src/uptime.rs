@@ -10,35 +10,12 @@
 //! quantities engineers actually provision against: mean time between
 //! failures, mean time to repair, and the longest outage.
 
-use crate::{
-    config::SimConfig,
-    stream::{run_connectivity_stream, ConnectivityObserver, StepView},
-    SimError,
-};
-use manet_graph::critical_range;
+use crate::{config::SimConfig, critical::critical_series, SimError};
 use manet_mobility::Mobility;
 
-/// Observer recording the critical range of every step **in time
-/// order** (unlike [`crate::simulate_critical_ranges`], which freezes
-/// sorted series for quantile queries). Positions-only stream lane.
-struct RawSeriesObserver {
-    series: Vec<f64>,
-}
-
-impl<const D: usize> ConnectivityObserver<D> for RawSeriesObserver {
-    type Output = Vec<f64>;
-
-    fn observe(&mut self, view: &StepView<'_, D>) {
-        self.series.push(critical_range(view.positions()));
-    }
-
-    fn finish(self) -> Vec<f64> {
-        self.series
-    }
-}
-
 /// Runs the campaign and returns each iteration's critical-range
-/// series in time order.
+/// series in time order (unlike [`crate::simulate_critical_ranges`],
+/// which freezes sorted series for quantile queries).
 ///
 /// # Errors
 ///
@@ -50,9 +27,10 @@ pub fn simulate_raw_critical_series<const D: usize, M>(
 where
     M: Mobility<D> + Clone + Send + Sync,
 {
-    run_connectivity_stream(config, model, None, |_| RawSeriesObserver {
-        series: Vec::with_capacity(config.steps()),
-    })
+    Ok(critical_series(config, model)?
+        .into_iter()
+        .map(|s| s.series)
+        .collect())
 }
 
 /// Up/down run statistics of one iteration at a fixed range.
