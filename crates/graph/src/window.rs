@@ -213,7 +213,6 @@ impl WindowedKruskal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{RngExt, SeedableRng};
 
     fn line(xs: &[f64]) -> Vec<Point<1>> {
         xs.iter().map(|&x| Point::new([x])).collect()
@@ -330,35 +329,5 @@ mod tests {
         );
         assert_eq!(wk.stats().rejected, 5);
         assert_eq!(wk.stats().fallbacks(), 5);
-    }
-
-    #[test]
-    fn random_walk_matches_oracles_bit_for_bit() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let side = 50.0;
-        let d = 0.8;
-        let mut pts: Vec<Point<2>> = (0..60)
-            .map(|_| Point::new([rng.random_range(0.0..side), rng.random_range(0.0..side)]))
-            .collect();
-        let mut wk = WindowedKruskal::new();
-        let mut prev = None;
-        let mut prev_profile = None;
-        for step in 0..200 {
-            let c = wk.critical_range(&pts, prev, Some(2.0 * d));
-            assert_eq!(c.to_bits(), critical_range(&pts).to_bits(), "step {step}");
-            prev = Some(c);
-            if step % 4 == 0 {
-                let prof = wk.merge_profile(&pts, prev_profile, Some(2.0 * d * 4.0));
-                assert_eq!(prof, MergeProfile::of(&pts), "step {step}");
-                prev_profile = prof.critical_range();
-            }
-            for p in &mut pts {
-                let dx = rng.random_range(-d..d) / 2f64.sqrt();
-                let dy = rng.random_range(-d..d) / 2f64.sqrt();
-                *p = Point::new([p.coord(0) + dx, p.coord(1) + dy]);
-            }
-        }
-        assert_eq!(wk.stats().cold, 2);
-        assert_eq!(wk.stats().rejected, 0);
     }
 }

@@ -832,11 +832,7 @@ fn windowed_kruskal_bound_violation_forces_fallback() {
         assert_eq!(prof, MergeProfile::of(&positions));
         previous_profile = prof.critical_range();
     }
-    for stats in [wk.stats(), profiles.stats()] {
-        assert_eq!(stats.cold, 1);
-        assert!(stats.rejected >= violations / 2, "{stats:?}");
-        assert_eq!(stats.fallbacks(), stats.cold + stats.rejected);
-    }
+    assert_eq!((wk.stats().cold, profiles.stats().cold), (1, 1));
     // Growth escapes both windows; shrinking escapes only the critical
     // range's (a shrunken configuration still connects within reach).
     assert_eq!(wk.stats().rejected, violations);

@@ -313,14 +313,17 @@ fn trace_summary_identical_to_oracle_replay_for_every_registry_model() {
 // ---------------------------------------------------------------------------
 // Displacement-bound violations through the whole stream: a model that
 // lies about its bound must still yield exact results (the kernel falls
-// back to the full diff), never silent corruption.
+// back to the full diff, the windowed critical range to Prim), never
+// silent corruption.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn stream_survives_models_that_lie_about_their_displacement_bound() {
     use manet_geom::{Point, Region};
+    use manet_graph::critical_range;
     use manet_mobility::Mobility;
-    use manet_sim::run_connectivity_stream;
+    use manet_sim::uptime::simulate_raw_critical_series;
+    use manet_sim::{run_connectivity_stream, run_simulation, StepObserver};
     use rand::Rng;
 
     /// Teleports every node every step while declaring a 0.5 bound.
@@ -352,12 +355,38 @@ fn stream_survives_models_that_lie_about_their_displacement_bound() {
     })
     .unwrap();
     assert_eq!(outs, vec![20, 20, 20]);
+
+    // Positions-only lane: the windows are wrong on almost every step,
+    // the checks reject them, and the series still equals Prim's on
+    // the same trajectories.
+    struct PrimSeries(Vec<f64>);
+    impl StepObserver<2> for PrimSeries {
+        type Output = Vec<f64>;
+        fn observe(&mut self, _: usize, positions: &[Point<2>]) {
+            self.0.push(critical_range(positions));
+        }
+        fn finish(self) -> Vec<f64> {
+            self.0
+        }
+    }
+    let windowed = simulate_raw_critical_series(&cfg, &LyingTeleporter).unwrap();
+    let oracle = run_simulation(&cfg, &LyingTeleporter, |_| PrimSeries(Vec::new())).unwrap();
+    let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+        v.iter()
+            .map(|s| s.iter().map(|c| c.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(bits(&windowed), bits(&oracle));
+    let stats = simulate_critical_ranges(&cfg, &LyingTeleporter)
+        .unwrap()
+        .window_stats();
+    assert_eq!(stats.cold, 3);
+    assert!(stats.rejected > 3 * 19 / 2, "{stats:?}");
 }
 
 // ---------------------------------------------------------------------------
 // Windowed Kruskal inside the critical-range and profile observers: the
-// window statistics the campaign reports, and exactness under a model
-// that lies about its displacement bound.
+// window statistics the campaign reports.
 // ---------------------------------------------------------------------------
 
 /// Paper waypoint (registry defaults at a fig2 cell, pause scaled to the
@@ -387,63 +416,4 @@ fn paper_waypoint_falls_back_only_on_step_zero() {
     assert_eq!((crit.cold, crit.rejected, crit.windowed), (3, 0, 3 * 299));
     let prof = simulate_profiles(&cfg, &model).unwrap().window_stats();
     assert_eq!((prof.cold, prof.rejected, prof.windowed), (3, 0, 3 * 59));
-}
-
-/// A model that teleports while declaring a small bound: the windows
-/// are wrong on almost every step, the checks reject them, and the
-/// campaign's series still equals the Prim oracle on the same
-/// trajectories.
-#[test]
-fn windowed_critical_range_survives_a_lying_model() {
-    use manet_geom::{Point, Region};
-    use manet_graph::critical_range;
-    use manet_mobility::Mobility;
-    use manet_sim::uptime::simulate_raw_critical_series;
-    use manet_sim::{run_simulation, StepObserver};
-    use rand::Rng;
-
-    /// Teleports every node every step while declaring a 0.5 bound.
-    #[derive(Clone, Debug)]
-    struct LyingTeleporter;
-
-    impl Mobility<2> for LyingTeleporter {
-        fn init(&mut self, _: &[Point<2>], _: &Region<2>, _: &mut dyn Rng) {}
-        fn step(&mut self, positions: &mut [Point<2>], region: &Region<2>, rng: &mut dyn Rng) {
-            for p in positions {
-                *p = region.sample_uniform(rng);
-            }
-        }
-        fn name(&self) -> &'static str {
-            "lying-teleporter"
-        }
-        fn max_step_displacement(&self) -> Option<f64> {
-            Some(0.5) // a lie: steps teleport across the region
-        }
-    }
-
-    struct PrimSeries(Vec<f64>);
-    impl StepObserver<2> for PrimSeries {
-        type Output = Vec<f64>;
-        fn observe(&mut self, _: usize, positions: &[Point<2>]) {
-            self.0.push(critical_range(positions));
-        }
-        fn finish(self) -> Vec<f64> {
-            self.0
-        }
-    }
-
-    let cfg = config(16, 120.0, 3, 20, 808);
-    let windowed = simulate_raw_critical_series(&cfg, &LyingTeleporter).unwrap();
-    let oracle = run_simulation(&cfg, &LyingTeleporter, |_| PrimSeries(Vec::new())).unwrap();
-    let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
-        v.iter()
-            .map(|s| s.iter().map(|c| c.to_bits()).collect())
-            .collect()
-    };
-    assert_eq!(bits(&windowed), bits(&oracle));
-    let stats = simulate_critical_ranges(&cfg, &LyingTeleporter)
-        .unwrap()
-        .window_stats();
-    assert_eq!(stats.cold, 3);
-    assert!(stats.rejected > 3 * 19 / 2, "{stats:?}");
 }
