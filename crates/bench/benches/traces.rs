@@ -1,5 +1,6 @@
 //! Temporal-trace benches: the delta-stream path versus from-scratch
-//! rebuilds, and the end-to-end trace pipeline.
+//! rebuilds, and the recorder's fold. The end-to-end trace pipeline is
+//! measured by `bench_e2e`'s `trace-dense` workload.
 //!
 //! Seeds are pinned (like every fixture in `manet-bench`) so perf
 //! series stay comparable across commits.
@@ -9,7 +10,6 @@ use manet_bench::placement;
 use manet_core::geom::{Point, Region};
 use manet_core::graph::{AdjacencyList, DynamicGraph};
 use manet_core::mobility::{Mobility, RandomWaypoint};
-use manet_core::sim::{simulate_trace, SimConfig};
 use manet_core::trace::TraceRecorder;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -84,25 +84,5 @@ fn bench_recorder_fold(c: &mut Criterion) {
     });
 }
 
-fn bench_trace_pipeline(c: &mut Criterion) {
-    let mut b = SimConfig::<2>::builder();
-    b.nodes(16)
-        .side(256.0)
-        .iterations(2)
-        .steps(50)
-        .seed(404)
-        .threads(1);
-    let config = b.build().expect("valid bench configuration");
-    let model = RandomWaypoint::new(0.1, 2.56, 10, 0.0).expect("valid parameters");
-    c.bench_function("simulate_trace_16x50", |b| {
-        b.iter(|| black_box(simulate_trace(&config, &model, 64.0).unwrap()))
-    });
-}
-
-criterion_group!(
-    traces,
-    bench_delta_stream_vs_rebuild,
-    bench_recorder_fold,
-    bench_trace_pipeline
-);
+criterion_group!(traces, bench_delta_stream_vs_rebuild, bench_recorder_fold);
 criterion_main!(traces);

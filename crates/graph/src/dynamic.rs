@@ -251,9 +251,11 @@ impl std::fmt::Display for Skin {
 /// decision and the auto skin depend on it, never correctness.
 const SKIN_REBUILD_COST_RATIO: f64 = 3.0;
 
-/// Minimum worthwhile drift budget, in units of the observed per-step
-/// displacement: below this many steps per rebuild the cache would
-/// thrash (rebuild almost every step) and auto-tuning declines to arm.
+/// Minimum worthwhile skin, in units of the observed per-step
+/// displacement `d`: auto-tuning declines to arm when `s* < 3d`. The
+/// drift budget is `s/2` per node, so the guard's floor of `s = 3d`
+/// still rebuilds every `s/(2d)` = 1.5 steps — it only stops skins
+/// that would rebuild on every step, not the every-other-step regime.
 const SKIN_MIN_REBUILD_STEPS: f64 = 3.0;
 
 /// Verify passes shorter than this stay serial: sharding a tiny arena

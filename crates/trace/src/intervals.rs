@@ -67,12 +67,21 @@ impl IntervalAccumulator {
         (!self.moments.is_empty()).then(|| self.moments.mean())
     }
 
+    /// Whether `other` was built for the same horizon: identical
+    /// histogram geometry, the precondition of
+    /// [`IntervalAccumulator::merge`].
+    pub fn same_geometry(&self, other: &IntervalAccumulator) -> bool {
+        let (a, b) = (&self.histogram, &other.histogram);
+        a.lo() == b.lo() && a.hi() == b.hi() && a.bins() == b.bins()
+    }
+
     /// Merges another accumulator (same campaign geometry) into this
     /// one.
     ///
     /// # Panics
     ///
-    /// Panics when the histogram geometries differ — merging traces of
+    /// Panics when the histogram geometries differ (see
+    /// [`IntervalAccumulator::same_geometry`]) — merging traces of
     /// different horizons is a logic error.
     pub fn merge(&mut self, other: &IntervalAccumulator) {
         self.moments.merge(&other.moments);

@@ -11,12 +11,123 @@
 use crate::intervals::IntervalAccumulator;
 use manet_graph::{AdjacencyList, DynamicComponents, EdgeDiff};
 use manet_obs::KernelMetrics;
-use std::collections::BTreeMap;
 
-/// Packs an undirected edge `(a, b)`, `a < b`, into one map key.
+/// Packs an undirected edge `(a, b)`, `a < b`, into one table key.
+/// Never 0 (that would need `a == b == 0`), which frees 0 to mark an
+/// empty [`LinkTable`] slot.
 fn pair_key(a: u32, b: u32) -> u64 {
     debug_assert!(a < b, "edge endpoints must be ordered");
     ((a as u64) << 32) | b as u64
+}
+
+/// Top bit of a link-state word: set while the pair's link is up. The
+/// low 31 bits are the step at which the current up- or down-interval
+/// began.
+const UP: u32 = 1 << 31;
+
+/// Largest step a link-state word can stamp.
+const MAX_STAMP: usize = (UP - 1) as usize;
+
+/// Key of an empty [`LinkTable`] slot (no ordered pair packs to it).
+const EMPTY: u64 = 0;
+
+/// Slots a fresh [`LinkTable`] starts with (a power of two).
+const MIN_SLOTS: usize = 16;
+
+/// Open-addressing map from every pair ever linked to its open
+/// interval: linear probing from a Fibonacci multiply-shift home slot,
+/// capacity doubled before the load would pass 3/4. Two parallel
+/// columns, 12 B per slot: `keys` (packed pair, [`EMPTY`] when free)
+/// and `state` (start step, [`UP`] bit while linked). Entries are
+/// never removed — a pair that goes down keeps its slot with the bit
+/// cleared — and the table is never iterated outside rehashing, so
+/// slot order cannot reach any output.
+#[derive(Debug, Clone)]
+struct LinkTable {
+    keys: Vec<u64>,
+    state: Vec<u32>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl LinkTable {
+    fn new() -> Self {
+        LinkTable {
+            keys: vec![EMPTY; MIN_SLOTS],
+            state: vec![0; MIN_SLOTS],
+            len: 0,
+        }
+    }
+
+    /// Home slot of `key`: the top `log2(slots)` bits of its Fibonacci
+    /// hash.
+    fn home(&self, key: u64) -> usize {
+        let bits = self.keys.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// Sets `key`'s state word to `word`, returning the previous word
+    /// when the pair was already in the table.
+    fn swap(&mut self, key: u64, word: u32) -> Option<u32> {
+        let mask = self.keys.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let k = self.keys[i];
+            if k == key {
+                return Some(core::mem::replace(&mut self.state[i], word));
+            }
+            if k == EMPTY {
+                break;
+            }
+            i = (i + 1) & mask;
+        }
+        if (self.len + 1) * 4 > self.keys.len() * 3 {
+            // Re-probe in the doubled table (load now <= 3/8).
+            self.grow();
+            return self.swap(key, word);
+        }
+        self.keys[i] = key;
+        self.state[i] = word;
+        self.len += 1;
+        None
+    }
+
+    /// Doubles the capacity in place and re-places every entry from
+    /// its new home. Entries not yet re-placed count as free slots (an
+    /// entry swaps into one and the displaced entry is re-placed next),
+    /// so a re-placed entry never moves again and every probe run it
+    /// crossed stays occupied. Growing the two columns in place keeps
+    /// the peak near the new size instead of old plus new. Walking the
+    /// old slots from the top down means a new home (about twice the
+    /// old one) almost always lies in already-settled slots, so swaps
+    /// are rare.
+    fn grow(&mut self) {
+        let old = self.keys.len();
+        let mask = 2 * old - 1;
+        self.keys.resize(2 * old, EMPTY);
+        self.state.resize(2 * old, 0);
+        let mut pending: Vec<bool> = self.keys.iter().map(|&k| k != EMPTY).collect();
+        for i in (0..old).rev() {
+            while pending[i] {
+                // Slot i itself is pending, so the scan stops by then.
+                let mut t = self.home(self.keys[i]);
+                while self.keys[t] != EMPTY && !pending[t] {
+                    t = (t + 1) & mask;
+                }
+                if t != i {
+                    self.keys.swap(i, t);
+                    self.state.swap(i, t);
+                    pending.swap(i, t);
+                }
+                pending[t] = false;
+            }
+        }
+    }
+
+    /// Slots in the table.
+    fn slots(&self) -> usize {
+        self.keys.len()
+    }
 }
 
 /// Fraction of ordered node pairs connected by some path: the paper's
@@ -66,10 +177,12 @@ fn pair_connectivity(components: &DynamicComponents, n: usize) -> f64 {
 pub struct TraceRecorder {
     nodes: usize,
     steps_seen: usize,
-    /// Open link intervals: pair key -> step the link came up.
-    up_since: BTreeMap<u64, usize>,
-    /// Open contact gaps: pair key -> step the link went down.
-    down_since: BTreeMap<u64, usize>,
+    /// Every pair ever linked -> its open up-interval or contact gap.
+    links: LinkTable,
+    /// Pairs whose link is up (open up-intervals).
+    open_up: usize,
+    /// Pairs once linked and now down (open contact gaps).
+    open_down: usize,
     /// Open isolation spells, per node.
     isolated_since: Vec<Option<usize>>,
     lifetimes: IntervalAccumulator,
@@ -105,8 +218,9 @@ impl TraceRecorder {
         TraceRecorder {
             nodes,
             steps_seen: 0,
-            up_since: BTreeMap::new(),
-            down_since: BTreeMap::new(),
+            links: LinkTable::new(),
+            open_up: 0,
+            open_down: 0,
             isolated_since: vec![None; nodes],
             lifetimes: IntervalAccumulator::new(steps),
             intercontacts: IntervalAccumulator::new(steps),
@@ -186,22 +300,36 @@ impl TraceRecorder {
         assert_eq!(graph.len(), self.nodes, "node count changed mid-trace");
         assert_eq!(components.len(), self.nodes, "component summary mismatch");
         let t = self.steps_seen;
+        assert!(t <= MAX_STAMP, "step {t} overflows the 31-bit link stamp");
+        let stamp = t as u32;
 
-        // Link events — work proportional to the changed edges.
+        // Link events — one table lookup per changed edge. A removal
+        // closes an open up-interval (if any) and opens a contact gap;
+        // an addition closes an open gap (if any) and opens an
+        // up-interval. Re-stamping a pair already in the target state
+        // drops its old start, as a map insert would.
         for &(a, b) in &diff.removed {
-            let key = pair_key(a, b);
-            if let Some(up) = self.up_since.remove(&key) {
-                self.lifetimes.record(t - up);
+            match self.links.swap(pair_key(a, b), stamp) {
+                Some(word) if word & UP != 0 => {
+                    self.lifetimes.record(t - (word & !UP) as usize);
+                    self.open_up -= 1;
+                    self.open_down += 1;
+                }
+                Some(_) => {}
+                None => self.open_down += 1,
             }
-            self.down_since.insert(key, t);
             self.link_down_events += 1;
         }
         for &(a, b) in &diff.added {
-            let key = pair_key(a, b);
-            if let Some(down) = self.down_since.remove(&key) {
-                self.intercontacts.record(t - down);
+            match self.links.swap(pair_key(a, b), UP | stamp) {
+                Some(word) if word & UP == 0 => {
+                    self.intercontacts.record(t - word as usize);
+                    self.open_down -= 1;
+                    self.open_up += 1;
+                }
+                Some(_) => {}
+                None => self.open_up += 1,
             }
-            self.up_since.insert(key, t);
             self.link_up_events += 1;
         }
         // Peak link-dynamics intensity. Step 0's delta is the whole
@@ -247,6 +375,39 @@ impl TraceRecorder {
         }
 
         self.steps_seen += 1;
+        #[cfg(feature = "strict-invariants")]
+        self.debug_validate(graph);
+    }
+
+    /// Link-table coherence after a step: the open up-intervals are
+    /// exactly the snapshot's edges, every occupied slot holds one open
+    /// interval, and the load is within 3/4. `O(slots)` —
+    /// strict-invariants builds only.
+    #[cfg(feature = "strict-invariants")]
+    fn debug_validate(&self, graph: &AdjacencyList) {
+        debug_assert_eq!(
+            self.open_up,
+            graph.edge_count(),
+            "strict-invariants: open up-intervals disagree with the snapshot's edge count"
+        );
+        let occupied = self.links.keys.iter().filter(|&&k| k != EMPTY).count();
+        debug_assert_eq!(
+            self.open_up + self.open_down,
+            occupied,
+            "strict-invariants: open intervals disagree with the occupied link slots"
+        );
+        debug_assert!(
+            occupied * 4 <= self.links.slots() * 3,
+            "strict-invariants: link table load {occupied}/{} exceeds 3/4",
+            self.links.slots()
+        );
+    }
+
+    /// Slots in the recorder's link-state table: a capacity
+    /// diagnostic (it doubles whenever the pairs ever linked would
+    /// fill more than 3/4 of it), never an input to any metric.
+    pub fn link_table_slots(&self) -> usize {
+        self.links.slots()
     }
 
     /// Steps observed so far.
@@ -257,10 +418,10 @@ impl TraceRecorder {
     /// Closes the trajectory: intervals still open are censored, and
     /// the accumulated metrics become a [`TemporalRecord`].
     pub fn finish(mut self) -> TemporalRecord {
-        for _ in 0..self.up_since.len() {
+        for _ in 0..self.open_up {
             self.lifetimes.record_censored();
         }
-        for _ in 0..self.down_since.len() {
+        for _ in 0..self.open_down {
             self.intercontacts.record_censored();
         }
         let open_isolation = self.isolated_since.iter().filter(|s| s.is_some()).count();
@@ -441,6 +602,57 @@ mod tests {
         assert_eq!(record.steps, 0);
         assert_eq!(record.availability, 0.0);
         assert_eq!(record.lifetimes.count(), 0);
+    }
+
+    #[test]
+    fn link_table_keeps_every_pair_across_growth() {
+        let mut table = LinkTable::new();
+        let pairs: Vec<u64> = (0..39u32)
+            .flat_map(|a| (a + 1..39).map(move |b| pair_key(a, b)))
+            .collect();
+        for (i, &key) in pairs.iter().enumerate() {
+            assert_eq!(table.swap(key, i as u32), None);
+            assert!(table.len * 4 <= table.slots() * 3);
+        }
+        assert_eq!(table.len, pairs.len());
+        // 741 pairs: past 3/4 of 512 slots, within 3/4 of 1024.
+        assert_eq!(table.slots(), 1024);
+        for (i, &key) in pairs.iter().enumerate() {
+            assert_eq!(table.swap(key, UP | i as u32), Some(i as u32));
+        }
+        assert_eq!(table.len, pairs.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the 31-bit link stamp")]
+    fn step_past_the_31_bit_stamp_panics_instead_of_wrapping() {
+        let mut graph = AdjacencyList::empty(2);
+        graph.add_edge(0, 1);
+        let components = DynamicComponents::from_graph(&graph);
+        let up = EdgeDiff {
+            added: vec![(0, 1)],
+            removed: Vec::new(),
+        };
+        let mut rec = TraceRecorder::new(2, 5);
+        // The last representable step still folds…
+        rec.steps_seen = MAX_STAMP;
+        rec.observe_with(&up, &graph, &components);
+        assert_eq!(rec.open_up, 1);
+        // …the next one must refuse rather than wrap the stamp.
+        rec.observe_with(&EdgeDiff::default(), &graph, &components);
+    }
+
+    #[cfg(feature = "strict-invariants")]
+    #[test]
+    #[should_panic(expected = "strict-invariants: open up-intervals")]
+    fn strict_invariants_catch_an_added_edge_missing_from_the_snapshot() {
+        let graph = AdjacencyList::empty(2);
+        let components = DynamicComponents::from_graph(&graph);
+        let ghost = EdgeDiff {
+            added: vec![(0, 1)],
+            removed: Vec::new(),
+        };
+        TraceRecorder::new(2, 5).observe_with(&ghost, &graph, &components);
     }
 
     #[test]

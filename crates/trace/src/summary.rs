@@ -73,13 +73,19 @@ impl TraceSummary {
     ///
     /// Returns [`TraceError::EmptyCampaign`] for an empty slice and
     /// [`TraceError::MismatchedRecords`] when records disagree on node
-    /// count or horizon (they then came from different campaigns).
+    /// count, steps observed or the histogram horizon they were built
+    /// for (they then came from different campaigns).
     pub fn aggregate(records: &[TemporalRecord]) -> Result<Self, TraceError> {
         let first = records.first().ok_or(TraceError::EmptyCampaign)?;
-        if records
-            .iter()
-            .any(|r| r.nodes != first.nodes || r.steps != first.steps)
-        {
+        let same_campaign = |r: &TemporalRecord| {
+            r.nodes == first.nodes
+                && r.steps == first.steps
+                && r.lifetimes.same_geometry(&first.lifetimes)
+                && r.intercontacts.same_geometry(&first.intercontacts)
+                && r.isolation.same_geometry(&first.isolation)
+                && r.outages.same_geometry(&first.outages)
+        };
+        if !records.iter().all(same_campaign) {
             return Err(TraceError::MismatchedRecords);
         }
 
@@ -178,6 +184,27 @@ mod tests {
     fn aggregate_rejects_mixed_campaigns() {
         let a = record(&[vec![0.0, 1.0]], 2.0);
         let b = record(&[vec![0.0, 1.0], vec![0.0, 1.0]], 2.0); // different horizon
+        assert_eq!(
+            TraceSummary::aggregate(&[a, b]).unwrap_err(),
+            TraceError::MismatchedRecords
+        );
+    }
+
+    #[test]
+    fn aggregate_rejects_mismatched_histogram_horizons() {
+        // Same nodes, same steps observed, but recorders built for
+        // horizons 10 and 500: a typed error, not a merge panic.
+        let observe_three = |horizon: usize| {
+            let pts = [Point::new([0.0]), Point::new([1.0])];
+            let dg = DynamicGraph::new(&pts, 100.0, 2.0);
+            let mut rec = TraceRecorder::new(2, horizon);
+            rec.observe(&dg.initial_diff(), dg.graph());
+            rec.observe(&Default::default(), dg.graph());
+            rec.observe(&Default::default(), dg.graph());
+            rec.finish()
+        };
+        let (a, b) = (observe_three(10), observe_three(500));
+        assert_eq!((a.nodes, a.steps), (b.nodes, b.steps));
         assert_eq!(
             TraceSummary::aggregate(&[a, b]).unwrap_err(),
             TraceError::MismatchedRecords

@@ -1,12 +1,14 @@
 //! Property tests: the delta-stream recorder agrees with a
 //! from-scratch oracle that recomputes every temporal metric from the
-//! full per-step edge sets.
+//! full per-step edge sets, and bit for bit with a reference fold that
+//! keeps its link state in two ordered maps.
 
-use manet_geom::Point;
-use manet_graph::{AdjacencyList, ComponentSummary, DynamicGraph};
-use manet_trace::{TraceRecorder, TraceSummary};
+use manet_geom::{Point, Region};
+use manet_graph::{AdjacencyList, ComponentSummary, DynamicComponents, DynamicGraph, EdgeDiff};
+use manet_trace::{IntervalAccumulator, TemporalRecord, TraceRecorder, TraceSummary};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use rand::{RngExt, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 const SIDE: f64 = 50.0;
 
@@ -205,4 +207,259 @@ proptest! {
         prop_assert_eq!(s.availability, availability);
         prop_assert_eq!(s.iterations, 1);
     }
+}
+
+/// Reference fold: the recorder's per-step logic with its link state in
+/// two ordered maps (open up-intervals and open contact gaps, keyed by
+/// the packed pair). The recorder must reproduce its record exactly.
+struct ReferenceFold {
+    nodes: usize,
+    steps_seen: usize,
+    up_since: BTreeMap<u64, usize>,
+    down_since: BTreeMap<u64, usize>,
+    isolated_since: Vec<Option<usize>>,
+    lifetimes: IntervalAccumulator,
+    intercontacts: IntervalAccumulator,
+    isolation: IntervalAccumulator,
+    outages: IntervalAccumulator,
+    link_up_events: u64,
+    link_down_events: u64,
+    peak_churn: usize,
+    connected_steps: usize,
+    path_connectivity_sum: f64,
+    down_run_start: Option<usize>,
+    first_disconnect_at: Option<usize>,
+    time_to_repair: Option<usize>,
+}
+
+impl ReferenceFold {
+    fn new(nodes: usize, steps: usize) -> Self {
+        ReferenceFold {
+            nodes,
+            steps_seen: 0,
+            up_since: BTreeMap::new(),
+            down_since: BTreeMap::new(),
+            isolated_since: vec![None; nodes],
+            lifetimes: IntervalAccumulator::new(steps),
+            intercontacts: IntervalAccumulator::new(steps),
+            isolation: IntervalAccumulator::new(steps),
+            outages: IntervalAccumulator::new(steps),
+            link_up_events: 0,
+            link_down_events: 0,
+            peak_churn: 0,
+            connected_steps: 0,
+            path_connectivity_sum: 0.0,
+            down_run_start: None,
+            first_disconnect_at: None,
+            time_to_repair: None,
+        }
+    }
+
+    /// Pairs ever linked (each sits in exactly one of the two maps).
+    fn pairs_ever_linked(&self) -> usize {
+        self.up_since.len() + self.down_since.len()
+    }
+
+    fn observe(&mut self, diff: &EdgeDiff, graph: &AdjacencyList, components: &DynamicComponents) {
+        let t = self.steps_seen;
+        let key = |a: u32, b: u32| ((a as u64) << 32) | b as u64;
+        for &(a, b) in &diff.removed {
+            if let Some(up) = self.up_since.remove(&key(a, b)) {
+                self.lifetimes.record(t - up);
+            }
+            self.down_since.insert(key(a, b), t);
+            self.link_down_events += 1;
+        }
+        for &(a, b) in &diff.added {
+            if let Some(down) = self.down_since.remove(&key(a, b)) {
+                self.intercontacts.record(t - down);
+            }
+            self.up_since.insert(key(a, b), t);
+            self.link_up_events += 1;
+        }
+        if t > 0 {
+            self.peak_churn = self.peak_churn.max(diff.churn());
+        }
+        for i in 0..self.nodes {
+            let isolated = graph.degree(i) == 0;
+            match (self.isolated_since[i], isolated) {
+                (None, true) => self.isolated_since[i] = Some(t),
+                (Some(since), false) => {
+                    self.isolation.record(t - since);
+                    self.isolated_since[i] = None;
+                }
+                _ => {}
+            }
+        }
+        self.path_connectivity_sum += if self.nodes < 2 {
+            1.0
+        } else {
+            let n = self.nodes as u64;
+            components.ordered_reachable_pairs() as f64 / (n * (n - 1)) as f64
+        };
+        if components.is_connected() {
+            self.connected_steps += 1;
+            if let Some(start) = self.down_run_start.take() {
+                self.outages.record(t - start);
+                if self.time_to_repair.is_none() {
+                    self.time_to_repair = Some(t - start);
+                }
+            }
+        } else if self.down_run_start.is_none() {
+            self.down_run_start = Some(t);
+            if self.first_disconnect_at.is_none() {
+                self.first_disconnect_at = Some(t);
+            }
+        }
+        self.steps_seen += 1;
+    }
+
+    fn finish(mut self) -> TemporalRecord {
+        for _ in 0..self.up_since.len() {
+            self.lifetimes.record_censored();
+        }
+        for _ in 0..self.down_since.len() {
+            self.intercontacts.record_censored();
+        }
+        for _ in self.isolated_since.iter().flatten() {
+            self.isolation.record_censored();
+        }
+        if self.down_run_start.is_some() {
+            self.outages.record_censored();
+        }
+        let steps = self.steps_seen.max(1);
+        TemporalRecord {
+            nodes: self.nodes,
+            steps: self.steps_seen,
+            lifetimes: self.lifetimes,
+            intercontacts: self.intercontacts,
+            isolation: self.isolation,
+            outages: self.outages,
+            link_up_events: self.link_up_events,
+            link_down_events: self.link_down_events,
+            peak_churn: self.peak_churn,
+            connected_steps: self.connected_steps,
+            availability: self.connected_steps as f64 / steps as f64,
+            path_availability: self.path_connectivity_sum / steps as f64,
+            first_disconnect_at: self.first_disconnect_at,
+            time_to_repair: self.time_to_repair,
+            kernel: Default::default(),
+        }
+    }
+}
+
+/// Drives a seeded jitter-and-teleport trajectory (most steps move a
+/// node by at most 4 units, ~1 in 20 re-places it uniformly, so pairs
+/// both persist and re-contact) through the recorder and the reference
+/// fold. Returns both records, the pairs ever linked and the link-table
+/// growths.
+fn record_against_reference(
+    n: usize,
+    steps: usize,
+    r: f64,
+    seed: u64,
+) -> (TemporalRecord, TemporalRecord, usize, u32) {
+    let region: Region<2> = Region::new(SIDE).expect("positive side");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut pts = region.place_uniform(n, &mut rng);
+    let mut dg = DynamicGraph::new(&pts, SIDE, r);
+    let mut dc = DynamicComponents::new(n);
+    let mut rec = TraceRecorder::new(n, steps);
+    let initial_slots = rec.link_table_slots();
+    let mut reference = ReferenceFold::new(n, steps);
+    let diff = dg.initial_diff();
+    dc.apply(&diff, dg.graph());
+    rec.observe_with(&diff, dg.graph(), &dc);
+    reference.observe(&diff, dg.graph(), &dc);
+    for _ in 1..steps {
+        for p in &mut pts {
+            if rng.random_bool(0.05) {
+                *p = region.sample_uniform(&mut rng);
+            } else {
+                let x = (p.coords()[0] + rng.random_range(-4.0..4.0)).clamp(0.0, SIDE);
+                let y = (p.coords()[1] + rng.random_range(-4.0..4.0)).clamp(0.0, SIDE);
+                *p = Point::new([x, y]);
+            }
+        }
+        let diff = dg.advance(&pts);
+        dc.apply(&diff, dg.graph());
+        rec.observe_with(&diff, dg.graph(), &dc);
+        reference.observe(&diff, dg.graph(), &dc);
+    }
+    let growths = (rec.link_table_slots() / initial_slots).trailing_zeros();
+    let ever_linked = reference.pairs_ever_linked();
+    (rec.finish(), reference.finish(), ever_linked, growths)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn recorder_is_bit_identical_to_reference_fold(
+        n in 12usize..17,
+        steps in 60usize..160,
+        r in 8.0..20.0f64,
+        seed in any::<u64>(),
+    ) {
+        let (got, want, ever_linked, growths) = record_against_reference(n, steps, r, seed);
+        prop_assert_eq!(&got, &want);
+        // Small n, many steps: pairs re-contact, and the table (which
+        // starts small) grows at least three times along the way.
+        prop_assert!(got.intercontacts.count() > 0);
+        prop_assert!(growths >= 3, "{} growths for {} pairs ever linked", growths, ever_linked);
+    }
+}
+
+/// One hand-written step: removed edges, added edges, snapshot edges.
+type HandStep<'a> = (&'a [(u32, u32)], &'a [(u32, u32)], &'a [(usize, usize)]);
+
+/// Folds hand-written deltas through the recorder and the reference
+/// fold.
+fn replay_hand_deltas(n: usize, steps: &[HandStep<'_>]) {
+    let mut rec = TraceRecorder::new(n, steps.len());
+    let mut reference = ReferenceFold::new(n, steps.len());
+    for &(removed, added, edges) in steps {
+        let diff = EdgeDiff {
+            added: added.to_vec(),
+            removed: removed.to_vec(),
+        };
+        let mut graph = AdjacencyList::empty(n);
+        for &(a, b) in edges {
+            graph.add_edge(a, b);
+        }
+        let components = DynamicComponents::from_graph(&graph);
+        rec.observe_with(&diff, &graph, &components);
+        reference.observe(&diff, &graph, &components);
+    }
+    assert_eq!(rec.finish(), reference.finish());
+}
+
+#[test]
+fn removal_without_open_up_interval_matches_reference() {
+    // (0, 1) goes down without ever having come up, goes down again
+    // (re-stamping its gap), then comes up: one inter-contact from the
+    // second stamp.
+    replay_hand_deltas(
+        3,
+        &[
+            (&[(0, 1)], &[], &[]),
+            (&[(0, 1)], &[], &[]),
+            (&[], &[(0, 1)], &[(0, 1)]),
+        ],
+    );
+}
+
+#[test]
+fn re_add_while_up_matches_reference() {
+    // (1, 2) comes up at 0, is re-added at 1 (re-stamping its
+    // up-interval) and goes down at 3: one lifetime from the re-stamp.
+    replay_hand_deltas(
+        3,
+        &[
+            (&[], &[(1, 2)], &[(1, 2)]),
+            (&[], &[(1, 2)], &[(1, 2)]),
+            (&[], &[], &[(1, 2)]),
+            (&[(1, 2)], &[], &[]),
+        ],
+    );
 }
