@@ -2,22 +2,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use manet_bench::placement;
-use manet_core::graph::{components, critical_range, AdjacencyList, MergeProfile, UnionFind};
+use manet_core::graph::{components, AdjacencyList, MergeProfile, UnionFind};
 use manet_core::occupancy::Occupancy;
 use manet_core::one_dim;
 use manet_core::stats::FrozenSeries;
 use std::hint::black_box;
-
-fn bench_mst(c: &mut Criterion) {
-    let mut group = c.benchmark_group("critical_range_prim");
-    for &n in &[16usize, 64, 128, 256] {
-        let pts = placement(n, 1000.0, 7);
-        group.bench_function(format!("n={n}"), |b| {
-            b.iter(|| black_box(critical_range(black_box(&pts))))
-        });
-    }
-    group.finish();
-}
 
 fn bench_merge_profile(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge_profile_kruskal");
@@ -41,10 +30,11 @@ fn bench_graph_build(c: &mut Criterion) {
             ))
         })
     });
-    group.bench_function("grid_n=128", |b| {
-        b.iter(|| {
-            black_box(AdjacencyList::from_points_grid(black_box(&pts), 1000.0, 150.0).unwrap())
-        })
+    // Above the crossover (n > GRID_CROSSOVER, side >= 14·range), so
+    // `from_points` pairs through the grid: the `trace-dense` regime.
+    let dense = placement(2000, 1024.0, 9);
+    group.bench_function("from_points_n=2000", |b| {
+        b.iter(|| black_box(AdjacencyList::from_points(black_box(&dense), 1024.0, 35.6)))
     });
     group.finish();
 }
@@ -100,7 +90,6 @@ fn bench_quantiles(c: &mut Criterion) {
 
 criterion_group!(
     kernels,
-    bench_mst,
     bench_merge_profile,
     bench_graph_build,
     bench_components,

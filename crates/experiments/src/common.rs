@@ -76,7 +76,14 @@ pub struct RunOptions {
     /// invocation, then checkpoint and exit without final artifacts —
     /// the budget knob the resume test interrupts a grid with.
     pub max_cells: Option<usize>,
+    /// `theory [tN]`: the selected Section 3 experiment (one of
+    /// [`THEORY_EXPERIMENTS`]; `None` runs them all) — the only bare
+    /// word the CLI accepts.
+    pub theory: Option<String>,
 }
+
+/// The experiment words `theory` accepts.
+pub const THEORY_EXPERIMENTS: [&str; 6] = ["t1", "t2", "t3", "t4", "t5", "all"];
 
 impl Default for RunOptions {
     fn default() -> Self {
@@ -99,13 +106,16 @@ impl Default for RunOptions {
             n_sweep: None,
             checkpoint: None,
             max_cells: None,
+            theory: None,
         }
     }
 }
 
 impl RunOptions {
-    /// Parses `--flag value` style options.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses the `--flag value` style options following `command`.
+    /// Bare words are rejected, except one experiment word after
+    /// `theory`.
+    pub fn parse(command: &str, args: &[String]) -> Result<Self, String> {
         let mut opts = RunOptions::default();
         let mut i = 0;
         while i < args.len() {
@@ -196,9 +206,17 @@ impl RunOptions {
                     }
                     opts.models = Some(names);
                 }
-                // Sub-command words (e.g. `theory t1`) are consumed by
-                // the caller; tolerate bare words here.
-                w if !w.starts_with("--") => {}
+                w if command == "theory" && opts.theory.is_none() && !w.starts_with("--") => {
+                    if !THEORY_EXPERIMENTS.contains(&w) {
+                        return Err(format!("unknown theory experiment `{w}` (t1..t5|all)"));
+                    }
+                    opts.theory = Some(w.to_string());
+                }
+                w if !w.starts_with("--") => {
+                    return Err(format!(
+                        "unexpected argument `{w}` (options start with `--`)"
+                    ))
+                }
                 other => return Err(format!("unknown option `{other}`")),
             }
             i += 1;
@@ -406,9 +424,13 @@ pub fn banner(title: &str) {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<RunOptions, String> {
+    fn parse_for(command: &str, args: &[&str]) -> Result<RunOptions, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        RunOptions::parse(&owned)
+        RunOptions::parse(command, &owned)
+    }
+
+    fn parse(args: &[&str]) -> Result<RunOptions, String> {
+        parse_for("fig2", args)
     }
 
     #[test]
@@ -444,9 +466,20 @@ mod tests {
     }
 
     #[test]
-    fn bare_words_tolerated_for_subcommands() {
-        let o = parse(&["t3", "--quick"]).unwrap();
-        assert_eq!(o.iterations, 5);
+    fn bare_words_rejected_except_the_theory_experiment() {
+        // `fig2 quick` must not silently run the paper-scale default.
+        assert!(parse(&["quick"]).is_err());
+        assert!(parse(&["--quick", "quick"]).is_err());
+        assert!(parse(&["t3", "--quick"]).is_err());
+        assert!(parse_for("trace", &["all"]).is_err());
+
+        let o = parse_for("theory", &["t3", "--quick"]).unwrap();
+        assert_eq!((o.theory.as_deref(), o.iterations), (Some("t3"), 5));
+        let o = parse_for("theory", &["--placements", "50", "all"]).unwrap();
+        assert_eq!((o.theory.as_deref(), o.placements), (Some("all"), 50));
+        assert_eq!(parse_for("theory", &["--quick"]).unwrap().theory, None);
+        assert!(parse_for("theory", &["t9"]).is_err());
+        assert!(parse_for("theory", &["t1", "t2"]).is_err());
     }
 
     #[test]

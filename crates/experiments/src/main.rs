@@ -80,7 +80,7 @@ fn main() {
         return;
     }
     let command = args[0].clone();
-    let opts = match RunOptions::parse(&args[1..]) {
+    let opts = match RunOptions::parse(&command, &args[1..]) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -107,14 +107,7 @@ fn main() {
         "fixed" => fixed::run(&opts, s),
         "trace" => trace::run(&opts, s),
         "critical-scaling" => scaling::run(&opts, s),
-        "theory" => {
-            let which = args[1..]
-                .iter()
-                .find(|a| matches!(a.as_str(), "t1" | "t2" | "t3" | "t4" | "t5" | "all"))
-                .map(String::as_str)
-                .unwrap_or("all");
-            theory::run(which, &opts, s)
-        }
+        "theory" => theory::run(opts.theory.as_deref().unwrap_or("all"), &opts, s),
         "all" => stationary::run(&opts, s)
             .and_then(|_| figures::all(&opts, s))
             .and_then(|_| theory::run("all", &opts, s))

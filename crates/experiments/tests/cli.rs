@@ -37,6 +37,34 @@ fn bad_option_fails() {
     assert!(!out.status.success());
 }
 
+/// A bare word is not an option: `fig2 --quick quick` must fail rather
+/// than run, and only `theory` takes an experiment word.
+#[test]
+fn bare_words_fail_except_the_theory_experiment() {
+    let out = repro().args(["fig2", "--quick", "quick"]).output().unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unexpected argument `quick`"), "stderr: {err}");
+
+    let dir = temp_out("theory_t1");
+    let out = repro()
+        .args(["theory", "t1", "--quick", "--out"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(dir.join("theory_t1.csv").exists());
+    assert!(
+        !dir.join("theory_t2.csv").exists(),
+        "t1 ran the whole suite"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn stationary_produces_csv_with_all_sizes() {
     let dir = temp_out("stationary");

@@ -1,10 +1,10 @@
-//! Shared cell-indexing arithmetic for the grid spatial indexes.
+//! Cell-indexing arithmetic for the grid spatial index.
 //!
-//! Both [`CellGrid`](crate::CellGrid) (rebuild-per-query-set) and
-//! [`MovingCellGrid`](crate::MovingCellGrid) (built once, updated per
-//! step) bucket points of `[0, side]^D` into a `cells_per_side^D`
-//! lattice; this module holds the layout math they share so the two
-//! indexes cannot drift apart on cell assignment.
+//! [`MovingCellGrid`](crate::MovingCellGrid) buckets points of
+//! `[0, side]^D` into a `cells_per_side^D` lattice; this module holds
+//! the layout math: parameter validation, cell assignment (with
+//! out-of-region points clamped to the boundary cells) and the full
+//! and forward neighbor-cell enumerations.
 
 use crate::{GeomError, Point};
 

@@ -1,281 +1,38 @@
-//! Uniform-grid spatial index for fixed-radius neighbor queries.
+//! Contract tests of the spatial index's one-shot pair query.
 //!
-//! Building the communication graph naively costs `O(n²)` distance
-//! checks. A [`CellGrid`] with cell width `>= r` buckets nodes so that
-//! all neighbors of a node within range `r` lie in its own or the `3^D`
-//! adjacent cells, giving expected `O(n + E)` graph construction for
-//! uniformly placed nodes. The brute-force path is kept in
-//! `manet-graph` and the two are cross-checked by property tests.
-//!
-//! The occupancy tables are **epoch-stamped and sparse**: filling the
-//! index touches only the cells that actually hold points (at most `n`
-//! of them), never the full `cells_per_side^D` lattice — the earlier
-//! dense layout's per-build `O(n_cells)` counting-buffer zeroing and
-//! prefix-sum passes are gone. A one-shot [`CellGrid::build`] still
-//! allocates the stamp tables once (zeroed pages from the allocator,
-//! no explicit pass); callers that index many point sets at the same
-//! `side`/`cell_size` should hold the grid and use
-//! [`CellGrid::rebuild`], which reuses every buffer and costs
-//! `O(n + t log t)` for `t <= n` occupied cells.
-
-use crate::cells::CellLayout;
-use crate::{GeomError, Point};
-
-/// A bucket grid over `[0, side]^D` with cells of width `>= cell_size`.
-///
-/// # Example
-///
-/// ```
-/// use manet_geom::{CellGrid, Point};
-///
-/// let pts = vec![
-///     Point::new([0.5, 0.5]),
-///     Point::new([1.0, 0.5]),
-///     Point::new([9.0, 9.0]),
-/// ];
-/// let grid = CellGrid::build(&pts, 10.0, 1.0)?;
-/// let mut pairs = Vec::new();
-/// grid.for_each_pair_within(1.0, |i, j, _d2| pairs.push((i, j)));
-/// assert_eq!(pairs, vec![(0, 1)]);
-/// # Ok::<(), manet_geom::GeomError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct CellGrid<const D: usize> {
-    layout: CellLayout,
-    /// Build epoch; a cell's `start`/`end` entries are valid only when
-    /// its stamp equals the current epoch, so empty cells need no
-    /// per-rebuild clearing.
-    epoch: u32,
-    stamp: Vec<u32>,
-    cell_start: Vec<u32>,
-    cell_end: Vec<u32>,
-    /// Scratch: occupied cell ids of the current build, sorted.
-    touched: Vec<u32>,
-    /// Scratch: per-cell counts, valid only for stamped cells mid-build.
-    counts: Vec<u32>,
-    /// Point indices sorted by cell (original index order within each
-    /// cell — the counting-sort order, kept for determinism).
-    order: Vec<u32>,
-    points: Vec<Point<D>>,
-}
-
-impl<const D: usize> CellGrid<D> {
-    /// Builds the index over `points` living in `[0, side]^D`, with
-    /// cells at least `cell_size` wide.
-    ///
-    /// Points outside the region are tolerated: they are bucketed into
-    /// the nearest boundary cell, and distance checks remain exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeomError::NonPositive`] when `side` or `cell_size`
-    /// is not strictly positive, and [`GeomError::NonFinite`] when
-    /// either is NaN/infinite.
-    pub fn build(points: &[Point<D>], side: f64, cell_size: f64) -> Result<Self, GeomError> {
-        let layout = CellLayout::new(side, cell_size)?;
-        let n_cells = layout.n_cells::<D>();
-        let mut grid = CellGrid {
-            layout,
-            epoch: 0,
-            stamp: vec![0; n_cells],
-            cell_start: vec![0; n_cells],
-            cell_end: vec![0; n_cells],
-            touched: Vec::new(),
-            counts: vec![0; n_cells],
-            order: Vec::new(),
-            points: Vec::new(),
-        };
-        grid.rebuild(points);
-        Ok(grid)
-    }
-
-    /// Re-indexes a fresh point set (any length) at the same
-    /// `side`/`cell_size`, reusing every internal buffer.
-    ///
-    /// Cost is `O(n + t log t)` where `t <= n` is the number of
-    /// occupied cells — independent of the total cell count, so sparse
-    /// point sets in large regions don't pay for empty cells (the
-    /// epoch stamps make stale occupancy entries unreadable without
-    /// clearing them).
-    pub fn rebuild(&mut self, points: &[Point<D>]) {
-        let layout = self.layout;
-        self.points.clear();
-        self.points.extend_from_slice(points);
-        self.touched.clear();
-        let epoch = self.next_epoch();
-        for p in points {
-            let c = layout.cell_of(p);
-            if self.stamp[c] != epoch {
-                self.stamp[c] = epoch;
-                self.counts[c] = 0;
-                self.touched.push(c as u32);
-            }
-            self.counts[c] += 1;
-        }
-        self.touched.sort_unstable();
-        let mut off = 0u32;
-        for &cu in &self.touched {
-            let c = cu as usize;
-            self.cell_start[c] = off;
-            off += self.counts[c];
-            self.cell_end[c] = off;
-        }
-        self.order.clear();
-        self.order.resize(points.len(), 0);
-        for (i, p) in points.iter().enumerate() {
-            let c = layout.cell_of(p);
-            let slot = (self.cell_end[c] - self.counts[c]) as usize;
-            self.order[slot] = i as u32;
-            self.counts[c] -= 1;
-        }
-    }
-
-    /// Advances the build epoch, resetting stamps on wraparound.
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                self.stamp.fill(0);
-                1
-            }
-        };
-        self.epoch
-    }
-
-    /// The `order` range of cell `c` (empty for untouched cells).
-    #[inline]
-    fn cell_range(&self, c: usize) -> core::ops::Range<usize> {
-        if self.stamp[c] == self.epoch {
-            self.cell_start[c] as usize..self.cell_end[c] as usize
-        } else {
-            0..0
-        }
-    }
-
-    /// Number of cells along each axis.
-    pub fn cells_per_side(&self) -> usize {
-        self.layout.cells_per_side
-    }
-
-    /// Actual width of each cell (`>= cell_size` requested at build).
-    pub fn cell_width(&self) -> f64 {
-        self.layout.cell_width
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Visits each unordered pair `(i, j)` with `i < j` and
-    /// `dist(points[i], points[j]) <= radius` exactly once, passing the
-    /// squared distance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` exceeds the cell width — neighbors could then
-    /// sit beyond adjacent cells and the enumeration would be
-    /// incomplete. Build the grid with `cell_size >= radius`.
-    pub fn for_each_pair_within<F: FnMut(usize, usize, f64)>(&self, radius: f64, mut f: F) {
-        assert!(
-            radius <= self.layout.cell_width * (1.0 + 1e-9),
-            "radius {radius} exceeds cell width {}",
-            self.layout.cell_width
-        );
-        let r2 = radius * radius;
-        for idx_pos in 0..self.order.len() {
-            let i = self.order[idx_pos] as usize;
-            let pi = self.points[i];
-            let base = self.layout.cell_coords(&pi);
-            self.layout.for_each_neighbor_cell(&base, |cell| {
-                for &j_raw in &self.order[self.cell_range(cell)] {
-                    let j = j_raw as usize;
-                    if j <= i {
-                        continue;
-                    }
-                    let d2 = pi.distance_sq(&self.points[j]);
-                    if d2 <= r2 {
-                        f(i, j, d2);
-                    }
-                }
-            });
-        }
-    }
-
-    /// Indices of all points within `radius` of point `i` (excluding
-    /// `i` itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range or `radius` exceeds the cell
-    /// width (see [`CellGrid::for_each_pair_within`]).
-    pub fn neighbors_within(&self, i: usize, radius: f64) -> Vec<usize> {
-        assert!(i < self.points.len(), "point index {i} out of range");
-        assert!(
-            radius <= self.layout.cell_width * (1.0 + 1e-9),
-            "radius {radius} exceeds cell width {}",
-            self.layout.cell_width
-        );
-        let r2 = radius * radius;
-        let pi = self.points[i];
-        let base = self.layout.cell_coords(&pi);
-        let mut out = Vec::new();
-        self.layout.for_each_neighbor_cell(&base, |cell| {
-            for &j_raw in &self.order[self.cell_range(cell)] {
-                let j = j_raw as usize;
-                if j != i && pi.distance_sq(&self.points[j]) <= r2 {
-                    out.push(j);
-                }
-            }
-        });
-        out.sort_unstable();
-        out
-    }
-}
+//! A [`MovingCellGrid`](crate::MovingCellGrid) built on a frozen
+//! placement and scanned over its whole lattice must list exactly the
+//! pairs a brute-force `O(n²)` check finds, in every dimension the
+//! models use, including the degenerate layouts (no points, a single
+//! cell, points on the region's far boundary). The unit tests of the
+//! incremental update and of sharded scans stay beside the index in
+//! `moving_grid`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::moving_grid::tests::{brute_force_pairs, scanned_pairs};
+    use crate::{MovingCellGrid, Point};
     use rand::{RngExt, SeedableRng};
-
-    fn brute_force_pairs<const D: usize>(pts: &[Point<D>], r: f64) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                if pts[i].distance(&pts[j]) <= r {
-                    out.push((i, j));
-                }
-            }
-        }
-        out
-    }
 
     #[test]
     fn build_validates() {
         let pts = [Point::new([0.5])];
-        assert!(CellGrid::build(&pts, 0.0, 1.0).is_err());
-        assert!(CellGrid::build(&pts, 1.0, 0.0).is_err());
-        assert!(CellGrid::build(&pts, f64::NAN, 1.0).is_err());
+        assert!(MovingCellGrid::build(&pts, 0.0, 1.0).is_err());
+        assert!(MovingCellGrid::build(&pts, 1.0, 0.0).is_err());
+        assert!(MovingCellGrid::build(&pts, f64::NAN, 1.0).is_err());
     }
 
     #[test]
     fn empty_point_set() {
-        let grid: CellGrid<2> = CellGrid::build(&[], 10.0, 1.0).unwrap();
+        let grid: MovingCellGrid<2> = MovingCellGrid::build(&[], 10.0, 1.0).unwrap();
         assert!(grid.is_empty());
-        let mut called = false;
-        grid.for_each_pair_within(1.0, |_, _, _| called = true);
-        assert!(!called);
+        assert!(scanned_pairs(&grid, 1.0).is_empty());
     }
 
     #[test]
     fn cell_width_at_least_requested() {
         let pts = [Point::new([0.5, 0.5])];
-        let grid = CellGrid::build(&pts, 10.0, 3.0).unwrap();
+        let grid = MovingCellGrid::build(&pts, 10.0, 3.0).unwrap();
         assert!(grid.cell_width() >= 3.0);
         assert_eq!(grid.cells_per_side(), 3);
     }
@@ -283,11 +40,9 @@ mod tests {
     #[test]
     fn tiny_region_single_cell() {
         let pts = [Point::new([0.1]), Point::new([0.9])];
-        let grid = CellGrid::build(&pts, 1.0, 5.0).unwrap();
+        let grid = MovingCellGrid::build(&pts, 1.0, 5.0).unwrap();
         assert_eq!(grid.cells_per_side(), 1);
-        let mut pairs = Vec::new();
-        grid.for_each_pair_within(1.0, |i, j, _| pairs.push((i, j)));
-        assert_eq!(pairs, vec![(0, 1)]);
+        assert_eq!(scanned_pairs(&grid, 1.0), vec![(0, 1)]);
     }
 
     #[test]
@@ -299,13 +54,12 @@ mod tests {
                 .map(|_| Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]))
                 .collect();
             let r = rng.random_range(2.0..15.0);
-            let grid = CellGrid::build(&pts, 100.0, r).unwrap();
-            let mut got = Vec::new();
-            grid.for_each_pair_within(r, |i, j, _| got.push((i, j)));
-            got.sort_unstable();
-            let mut want = brute_force_pairs(&pts, r);
-            want.sort_unstable();
-            assert_eq!(got, want, "trial {trial} r={r}");
+            let grid = MovingCellGrid::build(&pts, 100.0, r).unwrap();
+            assert_eq!(
+                scanned_pairs(&grid, r),
+                brute_force_pairs(&pts, r),
+                "trial {trial} r={r}"
+            );
         }
     }
 
@@ -315,13 +69,8 @@ mod tests {
         let pts1: Vec<Point<1>> = (0..200)
             .map(|_| Point::new([rng.random_range(0.0..50.0)]))
             .collect();
-        let grid1 = CellGrid::build(&pts1, 50.0, 2.0).unwrap();
-        let mut got = Vec::new();
-        grid1.for_each_pair_within(2.0, |i, j, _| got.push((i, j)));
-        got.sort_unstable();
-        let mut want = brute_force_pairs(&pts1, 2.0);
-        want.sort_unstable();
-        assert_eq!(got, want);
+        let grid1 = MovingCellGrid::build(&pts1, 50.0, 2.0).unwrap();
+        assert_eq!(scanned_pairs(&grid1, 2.0), brute_force_pairs(&pts1, 2.0));
 
         let pts3: Vec<Point<3>> = (0..100)
             .map(|_| {
@@ -332,86 +81,25 @@ mod tests {
                 ])
             })
             .collect();
-        let grid3 = CellGrid::build(&pts3, 20.0, 4.0).unwrap();
-        let mut got3 = Vec::new();
-        grid3.for_each_pair_within(4.0, |i, j, _| got3.push((i, j)));
-        got3.sort_unstable();
-        let mut want3 = brute_force_pairs(&pts3, 4.0);
-        want3.sort_unstable();
-        assert_eq!(got3, want3);
-    }
-
-    #[test]
-    fn rebuild_matches_fresh_build_and_reuses_capacity() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(515);
-        let mut grid: CellGrid<2> = CellGrid::build(&[], 100.0, 5.0).unwrap();
-        for trial in 0..12 {
-            // Rebuild with varying point counts, including shrinking.
-            let n = [40usize, 80, 10, 0, 60][trial % 5];
-            let pts: Vec<Point<2>> = (0..n)
-                .map(|_| Point::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]))
-                .collect();
-            grid.rebuild(&pts);
-            let fresh = CellGrid::build(&pts, 100.0, 5.0).unwrap();
-            let collect = |g: &CellGrid<2>| {
-                let mut v = Vec::new();
-                g.for_each_pair_within(5.0, |i, j, d2| v.push((i, j, d2.to_bits())));
-                v
-            };
-            assert_eq!(collect(&grid), collect(&fresh), "trial {trial} n={n}");
-            assert_eq!(grid.len(), n);
-        }
-    }
-
-    #[test]
-    fn rebuild_survives_epoch_wraparound() {
-        let pts = [Point::new([0.5, 0.5]), Point::new([0.9, 0.5])];
-        let mut grid = CellGrid::build(&pts, 10.0, 1.0).unwrap();
-        grid.epoch = u32::MAX; // force a wrap on the next rebuild
-        grid.rebuild(&pts);
-        let mut pairs = Vec::new();
-        grid.for_each_pair_within(1.0, |i, j, _| pairs.push((i, j)));
-        assert_eq!(pairs, vec![(0, 1)]);
-    }
-
-    #[test]
-    fn neighbors_within_matches_pairs() {
-        let pts = vec![
-            Point::new([1.0, 1.0]),
-            Point::new([1.5, 1.0]),
-            Point::new([5.0, 5.0]),
-            Point::new([1.0, 1.4]),
-        ];
-        let grid = CellGrid::build(&pts, 10.0, 1.0).unwrap();
-        assert_eq!(grid.neighbors_within(0, 1.0), vec![1, 3]);
-        assert_eq!(grid.neighbors_within(2, 1.0), Vec::<usize>::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds cell width")]
-    fn radius_larger_than_cell_panics() {
-        let pts = [Point::new([0.5, 0.5]), Point::new([3.0, 3.0])];
-        let grid = CellGrid::build(&pts, 10.0, 1.0).unwrap();
-        grid.for_each_pair_within(5.0, |_, _, _| {});
+        let grid3 = MovingCellGrid::build(&pts3, 20.0, 4.0).unwrap();
+        assert_eq!(scanned_pairs(&grid3, 4.0), brute_force_pairs(&pts3, 4.0));
     }
 
     #[test]
     fn points_on_boundary_are_indexed() {
-        let pts = vec![Point::new([0.0, 0.0]), Point::new([10.0, 10.0])];
-        let grid = CellGrid::build(&pts, 10.0, 1.0).unwrap();
-        assert_eq!(grid.len(), 2);
-        // The corner point at side=10 must be clamped into the last cell.
-        assert_eq!(grid.neighbors_within(1, 1.0), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn squared_distance_reported() {
-        let pts = vec![Point::new([0.0]), Point::new([0.6])];
-        let grid = CellGrid::build(&pts, 10.0, 1.0).unwrap();
-        let mut seen = None;
-        grid.for_each_pair_within(1.0, |i, j, d2| seen = Some((i, j, d2)));
-        let (i, j, d2) = seen.unwrap();
-        assert_eq!((i, j), (0, 1));
-        assert!((d2 - 0.36).abs() < 1e-12);
+        let pts = vec![
+            Point::new([0.0, 0.0]),
+            Point::new([10.0, 10.0]),
+            Point::new([9.0, 10.0]),
+        ];
+        let grid = MovingCellGrid::build(&pts, 10.0, 1.0).unwrap();
+        assert_eq!(grid.len(), 3);
+        // The corner point at side = 10 is clamped into the last cell,
+        // where the scan still finds its neighbor exactly 1 away.
+        let mut cand = Vec::new();
+        grid.for_each_candidate(&pts[1], |j| cand.push(j));
+        cand.sort_unstable();
+        assert_eq!(cand, vec![1, 2]);
+        assert_eq!(scanned_pairs(&grid, 1.0), vec![(1, 2)]);
     }
 }

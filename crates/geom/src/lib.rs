@@ -10,13 +10,13 @@
 //!   sampling, containment and boundary policies;
 //! * [`sampling`] — uniform sampling in balls and on spheres (the
 //!   drunkard model's jump distribution);
-//! * [`CellGrid`] — a uniform-grid spatial index answering fixed-radius
-//!   neighbor queries in `O(1)` expected per node, used to build
-//!   communication graphs without the `O(n²)` distance matrix;
-//! * [`MovingCellGrid`] — the same lattice maintained *incrementally*
-//!   across mobility steps: built once, then updated by relocating only
-//!   the nodes that crossed a cell boundary, while measuring the moved
-//!   set and maximum displacement for the incremental step kernels.
+//! * [`MovingCellGrid`] — the one spatial index: a uniform cell
+//!   lattice answering fixed-radius pair queries in `O(1)` expected
+//!   per node. A one-shot build plus a forward pair scan gives the
+//!   communication graph without the `O(n²)` distance matrix; kept
+//!   alive across mobility steps, it is updated by relocating only the
+//!   nodes that crossed a cell boundary, while measuring the moved set
+//!   and maximum displacement for the incremental step kernels.
 //!
 //! # Example
 //!
@@ -35,13 +35,13 @@
 #![deny(missing_docs)]
 
 mod cells;
-pub mod grid;
+#[cfg(test)]
+mod grid;
 pub mod moving_grid;
 pub mod point;
 pub mod region;
 pub mod sampling;
 
-pub use grid::CellGrid;
 pub use moving_grid::MovingCellGrid;
 pub use point::Point;
 pub use region::{BoundaryPolicy, Region};

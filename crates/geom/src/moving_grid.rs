@@ -1,12 +1,13 @@
 //! A spatial index that *moves with* its point set.
 //!
-//! [`CellGrid`](crate::CellGrid) answers fixed-radius queries for one
-//! frozen placement; a mobile trajectory would have to rebuild it every
-//! step, paying the full counting sort and buffer traffic even when
-//! almost nothing moved. [`MovingCellGrid`] is built once and then
-//! [`MovingCellGrid::update`]d per step: only the nodes whose position
-//! changed are examined, and only those that crossed a cell boundary
-//! are relocated between buckets. The update also *measures* the step —
+//! [`MovingCellGrid`] is the workspace's one spatial index. For one
+//! frozen placement, a build followed by
+//! [`MovingCellGrid::scan_forward_pairs`] over the whole lattice lists
+//! every pair within range (the one-shot graph construction). A mobile
+//! trajectory keeps the index alive instead of rebuilding it every
+//! step: each [`MovingCellGrid::update`] examines only the nodes whose
+//! position changed and relocates only those that crossed a cell
+//! boundary. The update also *measures* the step —
 //! it reports which nodes moved and the maximum squared displacement —
 //! which is exactly the information an incremental neighbor kernel
 //! needs to scan only moved nodes and to police a mobility model's
@@ -103,6 +104,23 @@ impl<const D: usize> MovingCellGrid<D> {
         #[cfg(feature = "strict-invariants")]
         grid.debug_validate();
         Ok(grid)
+    }
+
+    /// The cell size for an index over `n` points answering queries at
+    /// `radius`: `radius` itself, coarsened so the lattice holds at
+    /// most ~`n` cells. Any cell width `>= radius` keeps the `3^D`-cell
+    /// scans complete (a coarser lattice only widens the candidate
+    /// set), so a tiny radius never demands a `(side/radius)^D`-cell
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// The [`MovingCellGrid::build`] conditions, with `radius` in the
+    /// role of `cell_size`.
+    pub fn lattice_cell_size(n: usize, side: f64, radius: f64) -> Result<f64, GeomError> {
+        CellLayout::new(side, radius)?;
+        let per_axis_cap = (n.max(1) as f64).powf(1.0 / D as f64).ceil().max(1.0);
+        Ok(radius.max(side / per_axis_cap))
     }
 
     /// Number of indexed points.
@@ -526,7 +544,7 @@ impl<const D: usize> MovingCellGrid<D> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::{RngExt, SeedableRng};
 
@@ -545,13 +563,75 @@ mod tests {
         assert!(MovingCellGrid::build(&pts, f64::INFINITY, 1.0).is_err());
     }
 
+    /// Every in-range pair of a full-lattice forward scan, sorted.
+    pub(crate) fn scanned_pairs<const D: usize>(
+        grid: &MovingCellGrid<D>,
+        r: f64,
+    ) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        grid.scan_forward_pairs(0, grid.cells_per_side(), r * r, |a, b| out.push((a, b)));
+        out.sort_unstable();
+        out
+    }
+
+    pub(crate) fn brute_force_pairs<const D: usize>(pts: &[Point<D>], r: f64) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for i in 0..pts.len() {
+            for j in (i + 1)..pts.len() {
+                if pts[i].distance_sq(&pts[j]) <= r * r {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn empty_grid() {
         let grid: MovingCellGrid<2> = MovingCellGrid::build(&[], 10.0, 1.0).unwrap();
         assert!(grid.is_empty());
+        let examined = grid.scan_forward_pairs(0, grid.cells_per_side(), 1.0, |_, _| {
+            panic!("an empty grid has no pairs")
+        });
+        assert_eq!(examined, 0);
         let mut moved = vec![7u32]; // must be cleared
         assert_eq!(grid.clone().update(&[], &mut moved), 0.0);
         assert!(moved.is_empty());
+    }
+
+    #[test]
+    fn lattice_cell_size_floors_the_cell_count_at_n() {
+        // A range wide enough for <= n cells is kept as is...
+        assert_eq!(
+            MovingCellGrid::<2>::lattice_cell_size(100, 100.0, 20.0),
+            Ok(20.0)
+        );
+        // ...a tiny one is coarsened to ~n cells (10 x 10, 2 x 2 x 2)...
+        assert_eq!(
+            MovingCellGrid::<2>::lattice_cell_size(90, 100.0, 0.5),
+            Ok(10.0)
+        );
+        assert_eq!(
+            MovingCellGrid::<3>::lattice_cell_size(7, 10.0, 0.1),
+            Ok(5.0)
+        );
+        assert_eq!(
+            MovingCellGrid::<1>::lattice_cell_size(0, 10.0, 0.1),
+            Ok(10.0)
+        );
+        // ...and degenerate parameters error exactly like `build`.
+        for (side, r) in [
+            (0.0, 1.0),
+            (10.0, 0.0),
+            (10.0, f64::NAN),
+            (f64::INFINITY, 1.0),
+        ] {
+            assert_eq!(
+                MovingCellGrid::<2>::lattice_cell_size(10, side, r).err(),
+                MovingCellGrid::<2>::build(&[], side, r).err(),
+                "side={side} r={r}"
+            );
+        }
     }
 
     /// Candidate completeness: after arbitrary updates, every pair
@@ -792,20 +872,12 @@ mod tests {
         let side = 40.0;
         let r = 3.0;
         let (grid, pts) = random_walk_grid(23, 60, side, r);
-        let mut scanned = Vec::new();
-        let examined = grid.scan_forward_pairs(0, grid.cells_per_side(), r * r, |a, b| {
-            scanned.push((a, b));
-        });
-        scanned.sort_unstable();
-        let mut brute = Vec::new();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                if pts[i].distance_sq(&pts[j]) <= r * r {
-                    brute.push((i as u32, j as u32));
-                }
-            }
-        }
-        assert_eq!(scanned, brute, "forward scan missed or duplicated a pair");
+        let examined = grid.scan_forward_pairs(0, grid.cells_per_side(), r * r, |_, _| {});
+        assert_eq!(
+            scanned_pairs(&grid, r),
+            brute_force_pairs(&pts, r),
+            "forward scan missed or duplicated a pair"
+        );
         // Examined = unordered pairs sharing a same-or-adjacent cell:
         // cross-check against the full-neighborhood candidate scan,
         // which visits each such pair twice plus every node once.

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use manet_geom::{sampling, CellGrid, Point, Region};
+use manet_geom::{sampling, MovingCellGrid, Point, Region};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -108,15 +108,15 @@ proptest! {
         let region: Region<2> = Region::new(side).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let pts = region.place_uniform(n, &mut rng);
-        let grid = CellGrid::build(&pts, side, r).unwrap();
+        let grid = MovingCellGrid::build(&pts, side, r).unwrap();
         let mut got = Vec::new();
-        grid.for_each_pair_within(r, |i, j, _| got.push((i, j)));
+        grid.scan_forward_pairs(0, grid.cells_per_side(), r * r, |i, j| got.push((i, j)));
         got.sort_unstable();
         let mut want = Vec::new();
         for i in 0..n {
             for j in (i + 1)..n {
-                if pts[i].distance(&pts[j]) <= r {
-                    want.push((i, j));
+                if pts[i].distance_sq(&pts[j]) <= r * r {
+                    want.push((i as u32, j as u32));
                 }
             }
         }

@@ -1,6 +1,33 @@
 //! Point-graph construction and adjacency queries.
 
-use manet_geom::{CellGrid, GeomError, Point};
+use manet_geom::{GeomError, MovingCellGrid, Point};
+
+/// Packs a canonical pair (`a < b`) into one `u64` whose natural order
+/// is the lexicographic `(a, b)` order — the grid paths sort and merge
+/// flat `u64` lists instead of per-row neighbor lists.
+#[inline]
+pub(crate) fn pack_pair(a: u32, b: u32) -> u64 {
+    ((a as u64) << 32) | b as u64
+}
+
+/// Inverse of [`pack_pair`].
+#[inline]
+pub(crate) fn unpack_pair(p: u64) -> (u32, u32) {
+    ((p >> 32) as u32, p as u32)
+}
+
+/// Appends both directions of every packed pair to `rows`. Rows filled
+/// from a lex-sorted pair list come out sorted: for row `x`, every
+/// lower partner `a` (from pairs `(a, x)`, keys `a·2³² + x`) is pushed
+/// before — and ascending among — every higher partner `b` (from pairs
+/// `(x, b)`, keys `x·2³² + b`).
+pub(crate) fn fill_rows(rows: &mut [Vec<u32>], sorted_pairs: &[u64]) {
+    for &packed in sorted_pairs {
+        let (a, b) = unpack_pair(packed);
+        rows[a as usize].push(b);
+        rows[b as usize].push(a);
+    }
+}
 
 /// Undirected graph stored as per-node neighbor lists.
 ///
@@ -62,31 +89,15 @@ impl AdjacencyList {
     }
 
     /// Builds the communication graph, choosing between the brute-force
-    /// and grid-accelerated paths automatically.
-    ///
-    /// The brute-force path wins on constant factors for small point
-    /// sets (no bucketing, no sort, a tight pair loop), while the grid
-    /// pays off only when the range is small relative to the side —
-    /// each 3^D-cell neighborhood then holds a small fraction of all
-    /// nodes — *and* `n` is large enough to amortize index
-    /// construction. Measured on uniform 2-D placements (see the
-    /// `traces` bench), the grid starts winning around `n ≈ 200` once
-    /// `side >= 14·range` (candidate fraction `9(r/side)² ≲ 5%`), and
-    /// never wins below that cell count regardless of `n`; hence the
-    /// crossover: grid iff `n > `[`Self::GRID_CROSSOVER`]` && side >=
-    /// 14·range`.
+    /// and grid-accelerated paths automatically (see
+    /// [`AdjacencyList::GRID_CROSSOVER`] for the rule).
     ///
     /// Degenerate inputs (non-positive or non-finite `side`/`range`)
     /// never error: they fall back to brute force, which treats the
     /// range check exactly (`NaN` compares false, so a `NaN` range
     /// yields an edgeless graph).
     pub fn from_points<const D: usize>(points: &[Point<D>], side: f64, range: f64) -> Self {
-        let grid_pays = side.is_finite()
-            && range.is_finite()
-            && range > 0.0
-            && side > 0.0
-            && side >= 14.0 * range;
-        if points.len() <= Self::GRID_CROSSOVER || !grid_pays {
+        if !Self::grid_pays(points.len(), side, range) {
             return Self::from_points_brute_force(points, range);
         }
         Self::from_points_grid(points, side, range)
@@ -95,10 +106,33 @@ impl AdjacencyList {
 
     /// Node count up to which [`AdjacencyList::from_points`] always
     /// prefers the brute-force construction.
+    ///
+    /// The brute-force path wins on constant factors for small point
+    /// sets (no bucketing, no sort, a tight pair loop), while the grid
+    /// pays off only when the range is small relative to the side —
+    /// each 3^D-cell neighborhood then holds a small fraction of all
+    /// nodes — *and* `n` is large enough to amortize index
+    /// construction. When the rule was set, the grid started winning on
+    /// uniform 2-D placements around `n ≈ 200` once `side >= 14·range`
+    /// (candidate fraction `9(r/side)² ≲ 5%`), and never won below that
+    /// cell count regardless of `n`; hence the crossover: grid iff
+    /// `n > GRID_CROSSOVER && side >= 14·range`. The `graph_build` rows
+    /// of the `kernels` bench time one point on each side of it.
     pub const GRID_CROSSOVER: usize = 192;
 
-    /// Builds the communication graph with a [`CellGrid`] index over
-    /// `[0, side]^D`.
+    /// The crossover rule of [`AdjacencyList::from_points`]: whether
+    /// `n` points in `[0, side]^D` at `range` should be paired through
+    /// the grid. `false` for every degenerate `side`/`range`.
+    pub(crate) fn grid_pays(n: usize, side: f64, range: f64) -> bool {
+        n > Self::GRID_CROSSOVER
+            && side.is_finite()
+            && range.is_finite()
+            && range > 0.0
+            && side >= 14.0 * range
+    }
+
+    /// Builds the communication graph with a one-shot
+    /// [`MovingCellGrid`] index over `[0, side]^D`.
     ///
     /// # Errors
     ///
@@ -109,17 +143,25 @@ impl AdjacencyList {
         side: f64,
         range: f64,
     ) -> Result<Self, GeomError> {
-        let grid = CellGrid::build(points, side, range)?;
-        let mut g = AdjacencyList::empty(points.len());
-        grid.for_each_pair_within(range, |i, j, _d2| {
-            g.add_edge(i, j);
+        let cell_size = MovingCellGrid::<D>::lattice_cell_size(points.len(), side, range)?;
+        let grid = MovingCellGrid::build(points, side, cell_size)?;
+        Ok(Self::from_grid(&grid, range))
+    }
+
+    /// The communication graph of `grid`'s current positions at
+    /// `range`, which must not exceed the grid's cell width: one
+    /// forward scan over the whole lattice, a sort of the packed
+    /// pairs, and rows filled in pair order.
+    pub(crate) fn from_grid<const D: usize>(grid: &MovingCellGrid<D>, range: f64) -> Self {
+        let mut pairs = Vec::new();
+        grid.scan_forward_pairs(0, grid.cells_per_side(), range * range, |a, b| {
+            pairs.push(pack_pair(a, b));
         });
-        // Grid enumeration order is by cell; normalize for Eq with the
-        // brute-force path.
-        for list in &mut g.neighbors {
-            list.sort_unstable();
-        }
-        Ok(g)
+        pairs.sort_unstable();
+        let mut g = AdjacencyList::empty(grid.len());
+        fill_rows(&mut g.neighbors, &pairs);
+        g.edge_count = pairs.len();
+        g
     }
 
     /// Adds the undirected edge `(a, b)`.

@@ -66,7 +66,7 @@
 //! exactly the fallback contract of the legacy paths. See
 //! [`DynamicGraph::set_skin`] for how `skin` is chosen.
 
-use crate::adjacency::AdjacencyList;
+use crate::adjacency::{fill_rows, pack_pair, unpack_pair, AdjacencyList};
 use crate::parallel;
 use manet_geom::{MovingCellGrid, Point};
 use manet_obs::{GridMetrics, ShardScan, StepKernelMetrics};
@@ -263,20 +263,6 @@ const SKIN_MIN_REBUILD_STEPS: f64 = 3.0;
 /// a pure function of the arena length, never of thread timing.
 const VERIFY_SHARD_MIN_PAIRS: usize = 4096;
 
-/// Packs a canonical pair (`a < b`) into one `u64` whose natural order
-/// is the lexicographic `(a, b)` order — the bulk/verify paths sort
-/// and merge flat `u64` lists instead of per-row neighbor merges.
-#[inline]
-fn pack_pair(a: u32, b: u32) -> u64 {
-    ((a as u64) << 32) | b as u64
-}
-
-/// Inverse of [`pack_pair`].
-#[inline]
-fn unpack_pair(p: u64) -> (u32, u32) {
-    ((p >> 32) as u32, p as u32)
-}
-
 /// Single linear merge of two lex-sorted packed edge lists into the
 /// diff. Packed order is lexicographic pair order, so `added` and
 /// `removed` come out exactly as the per-row oracle emits them.
@@ -444,22 +430,18 @@ impl<const D: usize> DynamicGraph<D> {
     /// reports every present edge as added, so feeding it to a delta
     /// consumer makes step 0 uniform with the rest of the stream.
     pub fn new(points: &[Point<D>], side: f64, range: f64) -> Self {
-        let graph = AdjacencyList::from_points(points, side, range);
-        // Cell width >= range keeps the 3^D-cell candidate scan
-        // complete, and any *coarser* lattice stays correct (it only
-        // widens the candidate set), so the lattice is floored at
-        // ~n total cells — a tiny range must not demand a
-        // `(side/range)^D`-cell allocation. Degenerate parameters
-        // disable the grid and the kernel rebuilds every step instead.
-        let grid = if range.is_finite() && range > 0.0 && side.is_finite() && side > 0.0 {
-            let per_axis_cap = (points.len().max(1) as f64)
-                .powf(1.0 / D as f64)
-                .ceil()
-                .max(1.0);
-            let cell_size = range.max(side / per_axis_cap);
-            MovingCellGrid::build(points, side, cell_size).ok()
-        } else {
-            None
+        // Degenerate parameters disable the grid and the kernel
+        // rebuilds every step instead.
+        let grid = MovingCellGrid::<D>::lattice_cell_size(points.len(), side, range)
+            .and_then(|cell_size| MovingCellGrid::build(points, side, cell_size))
+            .ok();
+        // The step-0 snapshot follows `from_points`' crossover rule,
+        // pairing through the kernel's own grid when the grid pays.
+        let graph = match &grid {
+            Some(grid) if AdjacencyList::grid_pays(points.len(), side, range) => {
+                AdjacencyList::from_grid(grid, range)
+            }
+            _ => AdjacencyList::from_points_brute_force(points, range),
         };
         let diff = EdgeDiff {
             added: graph.edges().map(|(a, b)| (a as u32, b as u32)).collect(),
@@ -798,11 +780,11 @@ impl<const D: usize> DynamicGraph<D> {
         // covers the inflated candidate radius, with the same ~n-cell
         // lattice floor as construction. Metrics-preserving: the
         // switch counts as one grid reset.
-        let per_axis_cap = (points.len().max(1) as f64)
-            .powf(1.0 / D as f64)
-            .ceil()
-            .max(1.0);
-        let cell_size = (self.range + s).max(self.side / per_axis_cap);
+        let Ok(cell_size) =
+            MovingCellGrid::<D>::lattice_cell_size(points.len(), self.side, self.range + s)
+        else {
+            return false;
+        };
         let grid = self.grid.as_mut().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
         if grid
             .rebuild_with_cell_size(points, self.side, cell_size)
@@ -1018,20 +1000,14 @@ impl<const D: usize> DynamicGraph<D> {
                 .collect();
             debug_assert_eq!(lo, cand.len(), "slices must partition the arena");
             for buf in parallel::run_jobs(jobs) {
-                for &packed in &buf {
-                    let (a, b) = unpack_pair(packed);
-                    new_pairs.push(packed);
-                    next[a as usize].push(b);
-                    next[b as usize].push(a);
-                }
+                new_pairs.extend_from_slice(&buf);
+                fill_rows(next, &buf);
                 frags.push(buf);
             }
             self.shard_pairs = frags;
         }
-        // Rows filled from a lex-sorted pair list are already sorted:
-        // for row x, every lower partner a (from pairs (a, x), keys
-        // a·2³² + x) is pushed before — and ascending among — every
-        // higher partner b (from pairs (x, b), keys x·2³² + b).
+        // Rows filled from a lex-sorted pair list are already sorted
+        // (see `fill_rows`).
         merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
         let pair_count = self.new_pairs.len();
         self.graph
@@ -1345,14 +1321,7 @@ impl<const D: usize> DynamicGraph<D> {
         for row in &mut self.next_rows {
             row.clear();
         }
-        // Rows filled from the lex-sorted pair list come out sorted
-        // (see `cache_verify_pass` for the argument).
-        let next = &mut self.next_rows;
-        for &packed in &self.new_pairs {
-            let (a, b) = unpack_pair(packed);
-            next[a as usize].push(b);
-            next[b as usize].push(a);
-        }
+        fill_rows(&mut self.next_rows, &self.new_pairs);
         merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
         let pairs = self.new_pairs.len();
         self.graph.swap_neighbor_rows(&mut self.next_rows, pairs);

@@ -5,10 +5,10 @@
 //! not come from the scheduler — threads race freely — but from the
 //! structure: every job owns its inputs and output buffer, nothing is
 //! shared mutably, and the caller consumes results in the fixed job
-//! order. The pattern matches `crates/sim/src/engine.rs` (iteration
-//! fan-out) one layer down, inside a single step.
+//! order. The pattern matches `crates/sim/src/sweep.rs` (job and
+//! iteration fan-out) one layer down, inside a single step.
 //!
-//! This module is one of the three sanctioned `std::thread` sites in the
+//! This module is one of the two sanctioned `std::thread` sites in the
 //! workspace (see `R6_EXEMPT_MODULES` in `crates/lint/src/walk.rs` and
 //! the root `clippy.toml`): kernel code must not spawn threads except
 //! through this fan-out, whose merge discipline is what the

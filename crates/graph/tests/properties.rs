@@ -86,7 +86,22 @@ proptest! {
     }
 
     #[test]
-    fn grid_and_brute_force_graphs_identical(pts in points_strategy(50), r in 0.5..30.0f64) {
+    fn grid_and_brute_force_graphs_identical(
+        pts in points_strategy(50),
+        r in 0.5..30.0f64,
+        snap in any::<bool>(),
+    ) {
+        // Snapped inputs put pairs at exactly the range: integer
+        // coordinates and an integer range make d² == r² exact.
+        let (pts, r) = if snap {
+            let snapped = pts
+                .iter()
+                .map(|p| Point::new([p.coord(0).round(), p.coord(1).round()]))
+                .collect();
+            (snapped, r.round().max(1.0))
+        } else {
+            (pts, r)
+        };
         let brute = AdjacencyList::from_points_brute_force(&pts, r);
         let grid = AdjacencyList::from_points_grid(&pts, 100.0, r).unwrap();
         prop_assert_eq!(brute, grid);
@@ -837,4 +852,96 @@ fn windowed_kruskal_bound_violation_forces_fallback() {
     // range's (a shrunken configuration still connects within reach).
     assert_eq!(wk.stats().rejected, violations);
     assert_eq!(profiles.stats().rejected, violations / 2);
+}
+
+/// Pairs exactly `r` apart: nodes on a random half of the integer
+/// lattice `{0, …, side}^D` with `r` equal to the spacing, so every
+/// lattice-neighbor pair sits at distance² exactly `r²`, and nodes sit
+/// on cell boundaries and on the region's far faces. Brute force, the
+/// grid builder, `from_points`, the `DynamicGraph` snapshot and every
+/// kernel step after it must agree on the same edges.
+fn exact_range_lattice_agrees<const D: usize>(per_axis: usize, seed: u64) {
+    use rand::RngExt;
+    let side = (per_axis - 1) as f64;
+    let r = 1.0;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut pts: Vec<Point<D>> = Vec::new();
+    for code in 0..per_axis.pow(D as u32) {
+        if rng.random_range(0.0..1.0) < 0.5 {
+            continue;
+        }
+        let mut c = code;
+        pts.push(Point::new(std::array::from_fn(|_| {
+            let x = (c % per_axis) as f64;
+            c /= per_axis;
+            x
+        })));
+    }
+    assert!(
+        pts.len() > AdjacencyList::GRID_CROSSOVER && side >= 14.0 * r,
+        "D={D}: the lattice must take the grid branch of from_points"
+    );
+    let mut want = AdjacencyList::from_points_brute_force(&pts, r);
+    assert!(want.edge_count() > 0);
+    assert_eq!(
+        AdjacencyList::from_points_grid(&pts, side, r).unwrap(),
+        want,
+        "D={D}"
+    );
+    assert_eq!(AdjacencyList::from_points(&pts, side, r), want, "D={D}");
+    // The default kernel alternates incremental and bulk steps; the
+    // fixed-skin one serves steps from its Verlet cache.
+    let mut kernels = [
+        DynamicGraph::new(&pts, side, r).with_displacement_bound(Some(r)),
+        DynamicGraph::new(&pts, side, r)
+            .with_displacement_bound(Some(r))
+            .with_skin(Skin::Fixed(2.0 * r)),
+    ];
+    for dg in &kernels {
+        assert_eq!(dg.graph(), &want, "D={D}: step-0 snapshot");
+    }
+    for step in 0..12 {
+        // Lattice moves of exactly one spacing keep every distance on
+        // the lattice: sparse steps, then (nearly) all-moving ones.
+        let p_move = if step % 2 == 0 { 0.2 } else { 1.0 };
+        for p in &mut pts {
+            if rng.random_range(0.0..1.0) >= p_move {
+                continue;
+            }
+            let axis = rng.random_range(0..D);
+            let delta = if rng.random_range(0.0..1.0) < 0.5 {
+                -r
+            } else {
+                r
+            };
+            let mut c: [f64; D] = std::array::from_fn(|k| p.coord(k));
+            c[axis] = (c[axis] + delta).clamp(0.0, side);
+            *p = Point::new(c);
+        }
+        let next = AdjacencyList::from_points_brute_force(&pts, r);
+        assert_eq!(
+            AdjacencyList::from_points_grid(&pts, side, r).unwrap(),
+            next,
+            "D={D} step {step}"
+        );
+        let diff = want.diff(&next);
+        for dg in &mut kernels {
+            dg.step(&pts);
+            assert_eq!(dg.graph(), &next, "D={D} step {step}");
+            assert_eq!(dg.last_diff(), &diff, "D={D} step {step}");
+        }
+        want = next;
+    }
+    assert!(kernels[0].incremental_steps() > 0 && kernels[0].bulk_rescan_steps() > 0);
+    assert!(kernels[1].cache_verify_steps() > 0);
+    for dg in &kernels {
+        assert_eq!(dg.fallback_steps(), 0, "D={D}: lattice moves stay in bound");
+    }
+}
+
+#[test]
+fn exact_range_lattice_edges_agree_across_builders_and_kernel_steps() {
+    exact_range_lattice_agrees::<1>(600, 1);
+    exact_range_lattice_agrees::<2>(30, 2);
+    exact_range_lattice_agrees::<3>(15, 3);
 }

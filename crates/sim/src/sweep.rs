@@ -18,8 +18,8 @@
 //! * every job owns its inputs (`&J`) and produces an owned result —
 //!   nothing is shared mutably between jobs;
 //! * each job id is claimed exactly once (`fetch_add` on the cursor);
-//! * workers tag results with their job id, and the main thread merges
-//!   them into a job-id-indexed slot vector after the scope joins.
+//! * workers tag results with their job id, and the main thread, as it
+//!   joins each worker, moves every result into its job-id slot.
 //!
 //! The merged [`SweepRun::results`] is therefore a pure function of
 //! `(jobs, cached results, job function)` — the thread count never
@@ -39,9 +39,10 @@
 //! run the rest. Because jobs are deterministic, a resumed grid's
 //! results are bitwise the ones an uninterrupted run produces.
 //!
-//! This module is one of the three sanctioned `std::thread` sites in
-//! the workspace (see `R6_EXEMPT_MODULES` in `crates/lint/src/walk.rs`
-//! and the root `clippy.toml`).
+//! [`run_simulation`](crate::run_simulation) runs its iterations as
+//! jobs of this scheduler too. This module is one of the two sanctioned
+//! `std::thread` sites in the workspace (see `R6_EXEMPT_MODULES` in
+//! `crates/lint/src/walk.rs` and the root `clippy.toml`).
 
 use crate::SimError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -93,7 +94,7 @@ impl SweepScheduler {
     }
 
     /// Runs the jobs whose `cached` slot is empty (up to the budget)
-    /// and merges fresh results into the slots **in job-id order**.
+    /// and moves each fresh result into its **job-id slot**.
     ///
     /// `run_job(id, &jobs[id])` must be a pure function of its
     /// arguments for the determinism contract to hold; the scheduler
@@ -158,8 +159,11 @@ impl SweepScheduler {
         let pending = &pending;
         let run_job = &run_job;
         // Each worker claims job ids off the shared cursor and tags
-        // its outputs; the merge below is the only ordered step.
-        let mut tagged: Vec<(usize, Result<R, SimError>)> = std::thread::scope(|scope| {
+        // its outputs; results land in their job-id slots, and on
+        // failure the error with the smallest job id wins, so the
+        // outcome is scheduling-independent.
+        let mut first_err: Option<(usize, SimError)> = None;
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(move || {
@@ -175,18 +179,23 @@ impl SweepScheduler {
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep worker panicked")) // lint:allow(R3): a worker panic is already a crash; propagate it
-                .collect()
+            for handle in handles {
+                let local = handle.join().expect("sweep worker panicked"); // lint:allow(R3): a worker panic is already a crash; propagate it
+                for (id, result) in local {
+                    match result {
+                        Ok(r) => slots[id] = Some(r),
+                        Err(e) if first_err.as_ref().is_none_or(|(min, _)| id < *min) => {
+                            first_err = Some((id, e));
+                        }
+                        Err(_) => {}
+                    }
+                }
+            }
         });
-        // Merge in job-id order; on failure surface the error with the
-        // smallest job id so the outcome is scheduling-independent.
-        tagged.sort_by_key(|(id, _)| *id);
-        for (id, result) in tagged {
-            slots[id] = Some(result?);
+        match first_err {
+            Some((_, e)) => Err(e),
+            None => Ok(SweepRun { slots, executed }),
         }
-        Ok(SweepRun { slots, executed })
     }
 }
 
