@@ -227,6 +227,11 @@ impl RunOptions {
         if opts.nodes == Some(0) {
             return Err("--nodes must be positive".into());
         }
+        // These pipelines run at r_stationary of the node count, and
+        // one node has no pair to connect: r_stationary is 0.
+        if opts.nodes == Some(1) && matches!(command, "trace" | "fixed" | "uptime") {
+            return Err(format!("--nodes must be at least 2 for {command}"));
+        }
         if opts.step_threads == Some(0) {
             return Err("--step-threads must be positive".into());
         }
@@ -480,6 +485,20 @@ mod tests {
         assert_eq!(parse_for("theory", &["--quick"]).unwrap().theory, None);
         assert!(parse_for("theory", &["t9"]).is_err());
         assert!(parse_for("theory", &["t1", "t2"]).is_err());
+    }
+
+    #[test]
+    fn nodes_below_two_rejected_where_the_range_needs_a_pair() {
+        for cmd in ["trace", "fixed", "uptime"] {
+            let err = parse_for(cmd, &["--nodes", "1"]).unwrap_err();
+            assert!(err.contains("--nodes"), "{cmd}: {err}");
+            assert_eq!(parse_for(cmd, &["--nodes", "2"]).unwrap().nodes, Some(2));
+        }
+        assert_eq!(
+            parse_for("quantity", &["--nodes", "1"]).unwrap().nodes,
+            Some(1)
+        );
+        assert!(parse_for("quantity", &["--nodes", "0"]).is_err());
     }
 
     #[test]

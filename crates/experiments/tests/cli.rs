@@ -651,6 +651,32 @@ fn nodes_override_reaches_every_pipeline() {
     }
 }
 
+/// One node has no pair to connect, so the pipelines that run at its
+/// r_stationary reject `--nodes 1` as a usage error (exit 2) naming the
+/// flag, instead of failing later on a zero transmitting range.
+#[test]
+fn nodes_below_two_is_a_usage_error_for_range_pipelines() {
+    for cmd in ["trace", "fixed", "uptime"] {
+        let dir = temp_out(&format!("nodes1_{cmd}"));
+        let out = repro()
+            .args([cmd, "--quick", "--nodes", "1", "--out"])
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd} --nodes 1");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--nodes must be at least 2"),
+            "{cmd}: stderr: {err}"
+        );
+        assert!(
+            std::fs::read_dir(&dir).unwrap().next().is_none(),
+            "{cmd} wrote an artifact"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
 /// `--progress` is a stderr-only affordance: it must not move a byte
 /// of stdout or of any artifact.
 #[test]

@@ -210,10 +210,10 @@ impl AdjacencyList {
     }
 
     /// Swaps in a fully rebuilt set of (sorted) neighbor rows with its
-    /// edge count — the bulk-rescan path of the step kernel, which
+    /// edge count — the arena path of the step kernel, which
     /// assembles the next snapshot into persistent scratch rows and
     /// exchanges them wholesale so the displaced rows' capacity is
-    /// reused on the following rescan.
+    /// reused on the following commit.
     ///
     /// # Panics
     ///

@@ -24,27 +24,38 @@
 //! The quantitative half is a *contract*: a mobility model may declare
 //! a per-step displacement bound (`Mobility::max_step_displacement` in
 //! `manet-mobility`, wired through the simulation stream). The kernel
-//! measures the true maximum displacement while updating the grid
-//! anyway — it is a byproduct of finding the moved set — so the
-//! declaration costs nothing to police; if a declared bound
-//! is ever exceeded, the model lied about its dynamics, and the kernel
-//! routes that step through the full rebuild-and-diff oracle path
-//! instead of trusting the incremental machinery — observable via
-//! [`DynamicGraph::fallback_steps`], never silent.
+//! measures the true maximum displacement in the same pass that finds
+//! the moved set, so the declaration costs nothing to police; if a
+//! declared bound is ever exceeded, the model lied about its dynamics,
+//! and the kernel routes that step through the full rebuild-and-diff
+//! oracle path instead of trusting the incremental machinery —
+//! observable via [`DynamicGraph::fallback_steps`], never silent.
+//!
+//! # Three paths
+//!
+//! - **incremental** — fewer than [`BULK_RESCAN_FRACTION`] of the
+//!   nodes moved: rescan only the moved nodes;
+//! - **arena** — every other in-bound step, through one arena of all
+//!   pairs within `r + skin`: rebuilt every step at skin 0, where it
+//!   *is* the edge set (the bulk rescan), or, armed, only once the
+//!   drift budget runs out and streamed in between (the Verlet cache);
+//! - **oracle** — no grid, or a declared bound violated:
+//!   [`AdjacencyList::from_points`] plus [`AdjacencyList::diff`].
 //!
 //! # Determinism
 //!
-//! Both paths emit `added`/`removed` sorted lexicographically over
+//! Every path emits `added`/`removed` sorted lexicographically over
 //! `(a, b)` pairs with `a < b`, and the maintained snapshot keeps
 //! sorted neighbor lists — bit-identical to
 //! [`AdjacencyList::from_points`] followed by [`AdjacencyList::diff`],
 //! which property tests enforce for every mobility model in the
-//! registry. The bulk-rescan path may additionally fan a single step
-//! out over scoped worker threads
-//! ([`DynamicGraph::set_step_threads`]): the grid splits into axis-0
-//! cell strips that examine disjoint pair sets, and fragments merge in
-//! shard order, so the result is also bit-identical across thread
-//! counts — the same invariance, one level deeper.
+//! registry. The arena path may additionally fan a single step out
+//! over scoped worker threads ([`DynamicGraph::with_step_threads`]):
+//! its scan splits the grid into axis-0 cell strips that examine
+//! disjoint pair sets, its verify pass splits the arena into row
+//! ranges, and fragments merge in shard order, so the result is also
+//! bit-identical across thread counts — the same invariance, one level
+//! deeper.
 //!
 //! # The Verlet candidate cache
 //!
@@ -62,14 +73,13 @@
 //! edge. The kernel tracks the running maximum drift (an `O(moved)`
 //! byproduct of the per-step measure pass) and rebuilds the arena the
 //! moment the budget is exceeded; steps that violate the declared
-//! bound route through the rebuild oracle and mark the arena stale —
-//! exactly the fallback contract of the legacy paths. See
-//! [`DynamicGraph::set_skin`] for how `skin` is chosen.
+//! bound route through the rebuild oracle and force the next rebuild.
+//! See [`DynamicGraph::with_skin`] for how `skin` is chosen.
 
 use crate::adjacency::{fill_rows, pack_pair, unpack_pair, AdjacencyList};
 use crate::parallel;
 use manet_geom::{MovingCellGrid, Point};
-use manet_obs::{GridMetrics, ShardScan, StepKernelMetrics};
+use manet_obs::{GridMetrics, StepKernelMetrics};
 
 /// The symmetric difference between two graph snapshots on the same
 /// node set.
@@ -146,8 +156,8 @@ impl AdjacencyList {
 /// Sorted-merges one node's old and new neighbor rows into `diff`,
 /// recording each changed undirected edge only from its lower endpoint
 /// (`partner > a`) — so a pass over rows in ascending `a` emits events
-/// already in lexicographic order. Shared by [`AdjacencyList::diff_into`]
-/// and the step kernel's bulk-rescan path.
+/// already in lexicographic order. The per-row engine of
+/// [`AdjacencyList::diff_into`].
 fn merge_row_diff(old: &[u32], new: &[u32], a: u32, diff: &mut EdgeDiff) {
     debug_assert!(old.windows(2).all(|w| w[0] < w[1]), "unsorted neighbors");
     debug_assert!(new.windows(2).all(|w| w[0] < w[1]), "unsorted neighbors");
@@ -195,12 +205,12 @@ const BOUND_SLACK: f64 = 1.0 + 1e-9;
 
 /// How the step kernel chooses the Verlet-cache skin radius (the
 /// margin added to the transmitting range when building the candidate
-/// arena); see [`DynamicGraph::set_skin`].
+/// arena); see [`DynamicGraph::with_skin`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Skin {
-    /// Never arm the cache: the kernel runs exactly its classic
-    /// incremental/bulk/fallback paths.
+    /// Never arm the cache: all-moving steps rebuild the arena at
+    /// skin 0, which is the bulk rescan.
     Off,
     /// Derive the skin from the observed per-step displacement via the
     /// rebuild-amortization cost model, declining to arm when the
@@ -295,21 +305,74 @@ fn merge_packed_diff(old: &[u64], new: &[u64], diff: &mut EdgeDiff) {
     diff.added.extend(new[j..].iter().map(|&p| unpack_pair(p)));
 }
 
-/// The displacement-tracked Verlet candidate arena: every pair within
-/// `r + skin` at the last build, packed (`a < b`) and lex-sorted in
-/// one contiguous buffer, with a CSR offset table over the lower
-/// endpoint so the serial verify pass can hoist that node's position
-/// out of its inner loop. Rebuilt in stable node order; both buffers
-/// keep their capacity across rebuilds.
-#[derive(Debug, Clone, Default)]
-struct VerletCache {
-    /// Lex-sorted packed candidate pairs.
-    pairs: Vec<u64>,
-    /// CSR row offsets into `pairs` by lower endpoint (`n + 1` entries).
-    offsets: Vec<usize>,
-    /// The arena no longer covers the trajectory (a fallback step
-    /// rebuilt the snapshot behind it); forces a rebuild next step.
-    stale: bool,
+/// Runs `work(lo, hi, buf)` over the `shards` consecutive index ranges
+/// `[edge(w), edge(w + 1))`, appends their packed pairs to `out`
+/// (cleared first) in range order, and sums the counts `work` returns.
+/// One shard runs inline into `out`; more run as
+/// [`parallel::run_jobs`] workers on the persistent fragment buffers
+/// `frags`. Each worker owns its range and buffer, so `out` holds what
+/// one call over the whole span would emit.
+fn fan_out<E, W>(
+    shards: usize,
+    edge: E,
+    frags: &mut Vec<Vec<u64>>,
+    out: &mut Vec<u64>,
+    work: W,
+) -> u64
+where
+    E: Fn(usize) -> usize,
+    W: Fn(usize, usize, &mut Vec<u64>) -> u64 + Sync,
+{
+    out.clear();
+    if shards <= 1 {
+        return work(edge(0), edge(1), out);
+    }
+    let work = &work;
+    frags.resize_with(shards, Vec::new);
+    let jobs: Vec<_> = frags
+        .drain(..)
+        .enumerate()
+        .map(|(w, mut buf)| {
+            buf.clear();
+            let (lo, hi) = (edge(w), edge(w + 1));
+            move || {
+                let count = work(lo, hi, &mut buf);
+                (buf, count)
+            }
+        })
+        .collect();
+    let mut total = 0;
+    for (buf, count) in parallel::run_jobs(jobs) {
+        total += count;
+        out.extend_from_slice(&buf);
+        frags.push(buf);
+    }
+    total
+}
+
+/// The verify loop: streams the arena rows `lo..hi` (CSR `offsets`
+/// into the packed `pairs`) against `points`, with row `a`'s position
+/// hoisted over its range, and hands every pair within squared range
+/// `r2` to `keep`, in arena (lex) order. Returns the number of
+/// candidates streamed.
+fn verify_rows<const D: usize>(
+    points: &[Point<D>],
+    pairs: &[u64],
+    offsets: &[usize],
+    r2: f64,
+    lo: usize,
+    hi: usize,
+    mut keep: impl FnMut(u64),
+) -> u64 {
+    for a in lo..hi {
+        let pa = points[a];
+        for &packed in &pairs[offsets[a]..offsets[a + 1]] {
+            if pa.distance_sq(&points[packed as u32 as usize]) <= r2 {
+                keep(packed);
+            }
+        }
+    }
+    (offsets[hi] - offsets[lo]) as u64
 }
 
 /// A communication graph maintained across mobility steps by an
@@ -366,43 +429,50 @@ pub struct DynamicGraph<const D: usize> {
     old_stamp: Vec<u32>,
     matched_stamp: Vec<u32>,
     scan_id: u32,
-    /// Scratch: next-snapshot neighbor rows for the bulk-rescan path;
+    /// Scratch: next-snapshot neighbor rows for the arena path;
     /// swapped wholesale with the live rows so both row sets' capacity
-    /// is reused on alternating rescans.
+    /// is reused on alternating commits.
     next_rows: Vec<Vec<u32>>,
-    /// Worker threads for the sharded bulk rescan (`>= 1`); the output
-    /// is invariant across this setting by construction (see
-    /// [`DynamicGraph::set_step_threads`]).
+    /// Worker threads for the arena scan and verify passes (`>= 1`);
+    /// the output is invariant across this setting by construction
+    /// (see [`DynamicGraph::with_step_threads`]).
     step_threads: usize,
-    /// Scratch: per-shard packed-pair fragments for the sharded bulk
-    /// rescan, cache rebuild and verify paths, persisted so worker
-    /// buffers keep their capacity across steps.
+    /// Scratch: per-shard packed-pair fragments for the sharded arena
+    /// scan and verify passes, persisted so worker buffers keep their
+    /// capacity across steps.
     shard_pairs: Vec<Vec<u64>>,
     /// The snapshot's edge set as a lex-sorted packed list — the "old"
-    /// side of the single-merge diff on the bulk/verify paths. Lazily
+    /// side of the single-merge diff on the arena path. Lazily
     /// re-derived from the snapshot after incremental/fallback steps
     /// (`edge_pairs_valid`).
     edge_pairs: Vec<u64>,
     edge_pairs_valid: bool,
-    /// Scratch: the next snapshot's packed edge list.
+    /// Scratch: the next snapshot's packed edge list (at skin 0, the
+    /// arena scan's output).
     new_pairs: Vec<u64>,
     /// How the Verlet-cache skin is chosen (see
-    /// [`DynamicGraph::set_skin`]).
+    /// [`DynamicGraph::with_skin`]).
     skin_cfg: Skin,
     /// Resolved skin radius once the cache armed; `0.0` while unarmed.
     skin: f64,
     /// `(skin/2)²`: the accumulated-displacement budget between arena
     /// rebuilds.
     drift_limit_sq: f64,
-    /// The candidate arena (armed mode).
-    cache: VerletCache,
-    /// Armed mode: the previous step's positions. The legacy paths
-    /// read these off the grid, but armed mode freezes the grid at the
-    /// last arena build (its points *are* the drift reference), so the
-    /// per-step measure needs its own copy.
+    /// Armed mode: the Verlet candidate arena — every pair within
+    /// `r + skin` at the last build, packed (`a < b`) and lex-sorted —
+    /// and its CSR row offsets by lower endpoint (`n + 1` entries),
+    /// so the verify pass can hoist that node's position out of its
+    /// inner loop. Both keep their capacity across rebuilds.
+    arena: Vec<u64>,
+    arena_offsets: Vec<usize>,
+    /// The previous step's positions, the reference of the per-step
+    /// measure. Unarmed they equal the grid's; armed, the grid stays
+    /// frozen at the last arena build (its points *are* the drift
+    /// reference), so the kernel keeps its own copy.
     prev: Vec<Point<D>>,
     /// Armed mode: running max squared drift of any node from its
-    /// position at the last arena build.
+    /// position at the last arena build; infinite once a fallback step
+    /// has left the arena behind, which forces the next rebuild.
     max_drift_sq: f64,
     /// Deterministic per-path counters (see [`StepKernelMetrics`]):
     /// which path served each step, rescan candidate volumes, and
@@ -411,7 +481,7 @@ pub struct DynamicGraph<const D: usize> {
 }
 
 /// Moved-set fraction at and above which [`DynamicGraph::step`]
-/// abandons per-moved-node rescans for one bulk rescan of the whole
+/// abandons per-moved-node rescans for one arena rebuild of the whole
 /// snapshot (still grid-indexed, allocation-free and byte-identical —
 /// unlike the from-scratch [`AdjacencyList::from_points`] fallback).
 ///
@@ -443,24 +513,20 @@ impl<const D: usize> DynamicGraph<D> {
             }
             _ => AdjacencyList::from_points_brute_force(points, range),
         };
-        let diff = EdgeDiff {
-            added: graph.edges().map(|(a, b)| (a as u32, b as u32)).collect(),
-            removed: Vec::new(),
-        };
-        DynamicGraph {
+        let mut dg = DynamicGraph {
             side,
             range,
             bound_sq: None,
             graph,
             grid,
-            diff,
+            diff: EdgeDiff::default(),
             moved: Vec::new(),
             moved_stamp: vec![0; points.len()],
             stamp_epoch: 0,
             old_stamp: vec![0; points.len()],
             matched_stamp: vec![0; points.len()],
             scan_id: 0,
-            next_rows: Vec::new(),
+            next_rows: vec![Vec::new(); points.len()],
             step_threads: 1,
             shard_pairs: Vec::new(),
             edge_pairs: Vec::new(),
@@ -469,67 +535,49 @@ impl<const D: usize> DynamicGraph<D> {
             skin_cfg: Skin::default(),
             skin: 0.0,
             drift_limit_sq: 0.0,
-            cache: VerletCache::default(),
-            prev: Vec::new(),
+            arena: Vec::new(),
+            arena_offsets: Vec::new(),
+            prev: points.to_vec(),
             max_drift_sq: 0.0,
             metrics: StepKernelMetrics::default(),
-        }
+        };
+        dg.diff = dg.initial_diff();
+        dg
     }
 
-    /// Sets the worker-thread count for the sharded bulk rescan
-    /// (chainable); see [`DynamicGraph::set_step_threads`].
+    /// Sets how many scoped worker threads the arena path may fan a
+    /// single step out over (default 1: fully serial). Configure it
+    /// before the first step.
+    ///
+    /// This is a *performance* knob, never a semantic one: the arena
+    /// scan splits the grid into axis-0 cell strips and the verify
+    /// pass splits the arena into row ranges, and each worker's pairs
+    /// merge in shard order. The snapshot, the diff and every counter
+    /// are bit-identical across thread counts (pinned by the
+    /// registry-wide thread-invariance proptests).
     ///
     /// # Panics
     ///
     /// Panics when `threads` is zero.
     pub fn with_step_threads(mut self, threads: usize) -> Self {
-        self.set_step_threads(threads);
+        assert!(threads >= 1, "step_threads must be at least 1");
+        self.step_threads = threads;
         self
     }
 
-    /// Sets how many scoped worker threads the bulk-rescan path may
-    /// fan a single step out over (default 1: fully serial).
-    ///
-    /// This is a *performance* knob, never a semantic one: the bulk
-    /// rescan splits the grid into axis-0 cell strips, each worker
-    /// emits its strip's in-range pairs into a private buffer, and the
-    /// merge consumes the buffers in shard order. The discovered pair
-    /// set — and therefore the snapshot, the diff, and every counter —
-    /// is a function of the positions alone, so results are
-    /// bit-identical across thread counts (pinned by the registry-wide
-    /// thread-invariance proptests).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads` is zero.
-    pub fn set_step_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "step_threads must be at least 1");
-        self.step_threads = threads;
-    }
-
-    /// The configured bulk-rescan worker-thread count.
+    /// The configured arena worker-thread count.
     pub fn step_threads(&self) -> usize {
         self.step_threads
     }
 
-    /// Declares the mobility model's per-step displacement bound
-    /// (chainable). `None` removes the contract check; a bound must be
-    /// non-negative and finite.
+    /// Declares the mobility model's per-step displacement bound.
+    /// `None` (the default) means no contract check; a bound must be
+    /// non-negative and finite. Configure it before the first step.
     ///
     /// # Panics
     ///
     /// Panics on a NaN, infinite or negative bound.
     pub fn with_displacement_bound(mut self, bound: Option<f64>) -> Self {
-        self.set_displacement_bound(bound);
-        self
-    }
-
-    /// Sets or clears the declared per-step displacement bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a NaN, infinite or negative bound.
-    pub fn set_displacement_bound(&mut self, bound: Option<f64>) {
         self.bound_sq = bound.map(|b| {
             assert!(
                 b.is_finite() && b >= 0.0,
@@ -538,24 +586,15 @@ impl<const D: usize> DynamicGraph<D> {
             let slacked = b * BOUND_SLACK;
             slacked * slacked
         });
-    }
-
-    /// Sets the Verlet-cache skin policy (chainable); see
-    /// [`DynamicGraph::set_skin`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a NaN, infinite or non-positive fixed skin.
-    pub fn with_skin(mut self, skin: Skin) -> Self {
-        self.set_skin(skin);
         self
     }
 
-    /// Configures the Verlet candidate cache's skin radius.
+    /// Sets the Verlet candidate cache's skin policy (default
+    /// [`Skin::Auto`]). Configure it before the first step.
     ///
     /// The cache arms lazily, on the first step where (a) a
     /// displacement bound is declared
-    /// ([`DynamicGraph::set_displacement_bound`]) — the drift tracking
+    /// ([`DynamicGraph::with_displacement_bound`]) — the drift tracking
     /// that keeps the arena sound is only meaningful under the
     /// `max_step_displacement` contract — (b) the step is in bound,
     /// (c) at least [`BULK_RESCAN_FRACTION`] of the nodes moved (the
@@ -564,21 +603,16 @@ impl<const D: usize> DynamicGraph<D> {
     /// work `(r+s)²·(1 + 2Kd/s)` — candidate streaming plus a rebuild
     /// amortized over the `s/(2d)` steps the drift budget buys at
     /// observed per-step displacement `d` — and declines when the
-    /// budget is too small to amortize anything. Models that never
-    /// declare a bound (and degenerate grids) simply keep the classic
-    /// paths; [`Skin::Off`] (or `--skin 0`) pins them unconditionally,
-    /// byte-identical to a kernel without the cache.
-    ///
-    /// Reconfiguring disarms an armed cache; it re-arms (or not) under
-    /// the new policy on a later eligible step. The widened grid cells
-    /// stay — any cell width `>= range` remains correct for every
-    /// path.
+    /// budget is too small to amortize anything. Once armed, the cache
+    /// stays armed. Models that never declare a bound (and degenerate
+    /// grids) keep rebuilding the arena at skin 0 on all-moving steps;
+    /// [`Skin::Off`] (or `--skin 0`) pins that unconditionally.
     ///
     /// # Panics
     ///
     /// Panics on a NaN, infinite or non-positive fixed skin (use
     /// [`Skin::Off`] to disable).
-    pub fn set_skin(&mut self, skin: Skin) {
+    pub fn with_skin(mut self, skin: Skin) -> Self {
         if let Skin::Fixed(s) = skin {
             assert!(
                 s.is_finite() && s > 0.0,
@@ -586,7 +620,7 @@ impl<const D: usize> DynamicGraph<D> {
             );
         }
         self.skin_cfg = skin;
-        self.skin = 0.0;
+        self
     }
 
     /// The configured skin policy.
@@ -595,7 +629,7 @@ impl<const D: usize> DynamicGraph<D> {
     }
 
     /// The resolved skin radius, once the cache has armed (`None`
-    /// while the kernel is on its classic paths).
+    /// while the arena is rebuilt at skin 0).
     pub fn armed_skin(&self) -> Option<f64> {
         (self.skin > 0.0).then_some(self.skin)
     }
@@ -635,9 +669,9 @@ impl<const D: usize> DynamicGraph<D> {
         self.metrics.incremental_steps
     }
 
-    /// Steps that rescanned the whole snapshot through the grid in one
-    /// allocation-free bulk pass (taken when at least
-    /// [`BULK_RESCAN_FRACTION`] of the nodes moved).
+    /// Steps that rebuilt the arena by scanning the whole grid (taken
+    /// when at least [`BULK_RESCAN_FRACTION`] of the nodes moved and
+    /// no armed arena could serve the step).
     pub fn bulk_rescan_steps(&self) -> u64 {
         self.metrics.bulk_rescan_steps
     }
@@ -673,13 +707,10 @@ impl<const D: usize> DynamicGraph<D> {
     /// [`DynamicGraph::last_diff`] and the snapshot off
     /// [`DynamicGraph::graph`]. Allocation-free after warm-up.
     ///
-    /// Dispatch: measure the step (moved set + max displacement) on
-    /// the moving grid, then (1) police a declared displacement bound —
-    /// violations go to the from-scratch oracle; (2) below
-    /// [`BULK_RESCAN_FRACTION`] moved, relocate only moved nodes and
-    /// rescan their neighborhoods; (3) otherwise re-bucket in one pass
-    /// and bulk-rescan the snapshot. All three paths produce
-    /// bit-identical snapshots and deltas.
+    /// Dispatch: measure the step (moved set, max displacement and,
+    /// armed, drift) in one pass, police a declared displacement bound,
+    /// then take one of the three paths in the module docs — all
+    /// producing bit-identical snapshots and deltas.
     ///
     /// # Panics
     ///
@@ -698,7 +729,7 @@ impl<const D: usize> DynamicGraph<D> {
         #[cfg(feature = "strict-invariants")]
         {
             self.debug_validate();
-            if self.skin > 0.0 && !self.cache.stale {
+            if self.skin > 0.0 && self.max_drift_sq.is_finite() {
                 self.debug_validate_cache(points);
             }
         }
@@ -711,50 +742,93 @@ impl<const D: usize> DynamicGraph<D> {
             self.step_rebuild(points);
             return;
         }
-        if self.skin > 0.0 {
-            self.step_cached(points);
-            return;
-        }
-        let grid = self.grid.as_mut().expect("checked above"); // lint:allow(R3): dispatch returns early when no grid exists
-        let max_disp_sq = grid.measure(points, &mut self.moved);
+        let max_step_sq = self.measure(points);
         self.metrics.moved_nodes += self.moved.len() as u64;
-        if let Some(bound_sq) = self.bound_sq {
-            if max_disp_sq > bound_sq {
-                // Contract violation: the model exceeded its declared
-                // bound. Resync the grid in bulk and route the
-                // snapshot/diff through the oracle path.
+        let armed = self.skin > 0.0;
+        let grid = self.grid.as_mut().expect("checked above"); // lint:allow(R3): dispatch returns early when no grid exists
+        if self.bound_sq.is_some_and(|bound_sq| max_step_sq > bound_sq) {
+            // Contract violation: the model exceeded its declared
+            // bound. Route the snapshot/diff through the oracle;
+            // unarmed, resync the grid in bulk. Armed, the grid is the
+            // drift reference and stays put: the drift goes infinite
+            // and the next step rebuilds both.
+            if armed {
+                self.max_drift_sq = f64::INFINITY;
+            } else {
                 grid.reset(points);
-                self.step_rebuild(points);
-                return;
             }
-        }
-        if (self.moved.len() as f64) < BULK_RESCAN_FRACTION * points.len() as f64 {
+            self.step_rebuild(points);
+        } else if armed {
+            if self.max_drift_sq > self.drift_limit_sq {
+                grid.reset(points);
+                self.rebuild_arena(points);
+            } else if self.moved.is_empty() {
+                // Bitwise-identical positions: the snapshot is already
+                // exact — an empty verify step.
+                self.diff.clear();
+                self.metrics.cache_verify_steps += 1;
+            } else {
+                let streamed = self.verify_pass(points);
+                self.metrics.cache_verify_steps += 1;
+                self.metrics.verify_candidates += streamed;
+            }
+        } else if (self.moved.len() as f64) < BULK_RESCAN_FRACTION * points.len() as f64 {
             grid.relocate(points, &self.moved);
             self.step_incremental();
-        } else if self.try_arm(points, max_disp_sq) {
-            // Armed: the arming rebuild served this step as its first
-            // bulk pass at the inflated radius.
         } else {
-            let grid = self.grid.as_mut().expect("checked above"); // lint:allow(R3): dispatch returns early when no grid exists
-            grid.reset(points);
-            self.step_bulk();
+            self.arm_or_reset(points, max_step_sq);
+            self.rebuild_arena(points);
         }
     }
 
-    /// Tries to switch the kernel into Verlet-cache mode on an
-    /// in-bound step where at least [`BULK_RESCAN_FRACTION`] of the
-    /// nodes moved; returns `true` when the cache armed (the arming
-    /// rebuild also serves the current step). See
-    /// [`DynamicGraph::set_skin`] for the eligibility conditions.
-    fn try_arm(&mut self, points: &[Point<D>], max_disp_sq: f64) -> bool {
+    /// Measures the step in one pass against the previous positions:
+    /// refills `moved` with the nodes whose position changed (bitwise
+    /// coordinate comparison, ascending), returns the largest squared
+    /// per-step displacement (`0.0` when nothing moved) and, armed,
+    /// raises the running drift maximum against the grid's positions,
+    /// frozen at the last arena build. Unarmed, the grid is synced
+    /// every step, so there is no drift to track.
+    fn measure(&mut self, points: &[Point<D>]) -> f64 {
+        let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
+        let refs = grid.points();
+        let armed = self.skin > 0.0;
+        self.moved.clear();
+        let mut max_step_sq = 0.0f64;
+        let mut max_drift_sq = self.max_drift_sq;
+        for (i, (p, prev)) in points.iter().zip(self.prev.iter_mut()).enumerate() {
+            if *p == *prev {
+                continue;
+            }
+            self.moved.push(i as u32);
+            let d2 = p.distance_sq(prev);
+            if d2 > max_step_sq {
+                max_step_sq = d2;
+            }
+            if armed {
+                let dr = p.distance_sq(&refs[i]);
+                if dr > max_drift_sq {
+                    max_drift_sq = dr;
+                }
+            }
+            *prev = *p;
+        }
+        self.max_drift_sq = max_drift_sq;
+        max_step_sq
+    }
+
+    /// The skin the cache arms with on this in-bound, all-moving step,
+    /// or `None` when it stays unarmed: no declared bound, nothing
+    /// moved, [`Skin::Off`], or an auto skin the cost model declines.
+    /// See [`DynamicGraph::with_skin`].
+    fn arming_skin(&self, max_step_sq: f64) -> Option<f64> {
         // partial_cmp: a NaN displacement must read as "didn't move",
         // never as an armable drift observation.
-        let moved = max_disp_sq.partial_cmp(&0.0) == Some(core::cmp::Ordering::Greater);
+        let moved = max_step_sq.partial_cmp(&0.0) == Some(core::cmp::Ordering::Greater);
         if self.bound_sq.is_none() || !moved {
-            return false;
+            return None;
         }
         let s = match self.skin_cfg {
-            Skin::Off => return false,
+            Skin::Off => return None,
             Skin::Fixed(s) => s,
             Skin::Auto => {
                 // Per step the cache streams ~(r+s)² density-units of
@@ -763,256 +837,168 @@ impl<const D: usize> DynamicGraph<D> {
                 // steps the drift budget buys at observed per-step
                 // displacement d. Minimizing (r+s)²·(1 + 2Kd/s) over s
                 // gives s* = (√(K²d² + 4Kdr) − Kd)/2.
-                let kd = SKIN_REBUILD_COST_RATIO * max_disp_sq.sqrt();
+                let kd = SKIN_REBUILD_COST_RATIO * max_step_sq.sqrt();
                 let s_star = 0.5 * ((kd * kd + 4.0 * kd * self.range).sqrt() - kd);
-                if s_star < SKIN_MIN_REBUILD_STEPS * max_disp_sq.sqrt() {
+                if s_star < SKIN_MIN_REBUILD_STEPS * max_step_sq.sqrt() {
                     // Budget too small to amortize rebuilds: the cache
-                    // would thrash. Stay on the bulk path.
-                    return false;
+                    // would thrash. Stay at skin 0.
+                    return None;
                 }
                 s_star
             }
         };
-        if !s.is_finite() || s <= 0.0 {
-            return false;
-        }
-        // Widen the cells so one forward half-neighborhood still
-        // covers the inflated candidate radius, with the same ~n-cell
-        // lattice floor as construction. Metrics-preserving: the
-        // switch counts as one grid reset.
-        let Ok(cell_size) =
-            MovingCellGrid::<D>::lattice_cell_size(points.len(), self.side, self.range + s)
-        else {
-            return false;
-        };
+        (s.is_finite() && s > 0.0).then_some(s)
+    }
+
+    /// Re-buckets the grid at `points` for an unarmed all-moving
+    /// step's arena rebuild. When the cache arms on this step, the
+    /// grid is instead re-latticed so one forward half-neighborhood
+    /// still covers `r + skin`, with the same ~n-cell floor as
+    /// construction; the switch counts as one grid reset, like the
+    /// plain re-bucketing it replaces.
+    fn arm_or_reset(&mut self, points: &[Point<D>], max_step_sq: f64) {
+        let skin = self.arming_skin(max_step_sq);
+        let (side, range) = (self.side, self.range);
         let grid = self.grid.as_mut().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
-        if grid
-            .rebuild_with_cell_size(points, self.side, cell_size)
-            .is_err()
-        {
-            return false;
-        }
-        self.skin = s;
-        self.drift_limit_sq = (0.5 * s) * (0.5 * s);
-        if self.prev.len() == points.len() {
-            self.prev.copy_from_slice(points);
-        } else {
-            self.prev = points.to_vec();
-        }
-        self.step_cache_rebuild(points);
-        true
-    }
-
-    /// Armed-mode dispatch. Between arena builds the grid is frozen at
-    /// the last build's positions (they *are* the drift reference), so
-    /// one fused `O(n)` pass over `prev` measures the step: per-step
-    /// moved count, declared-bound policing, and the running max drift
-    /// from the build reference. Then: bound violation → oracle (arena
-    /// marked stale); drift budget exceeded or stale arena → rebuild;
-    /// otherwise stream the arena (trivially, when nothing moved
-    /// bitwise).
-    fn step_cached(&mut self, points: &[Point<D>]) {
-        let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
-        let refs = grid.points();
-        let mut moved = 0u64;
-        let mut max_step_sq = 0.0f64;
-        let mut max_drift_sq = self.max_drift_sq;
-        for (i, p) in points.iter().enumerate() {
-            if *p == self.prev[i] {
-                continue;
+        let relatticed = skin.filter(|&s| {
+            MovingCellGrid::<D>::lattice_cell_size(points.len(), side, range + s)
+                .and_then(|cell_size| grid.rebuild_with_cell_size(points, side, cell_size))
+                .is_ok()
+        });
+        match relatticed {
+            Some(s) => {
+                self.skin = s;
+                self.drift_limit_sq = (0.5 * s) * (0.5 * s);
             }
-            moved += 1;
-            let d2 = p.distance_sq(&self.prev[i]);
-            if d2 > max_step_sq {
-                max_step_sq = d2;
-            }
-            let dr = p.distance_sq(&refs[i]);
-            if dr > max_drift_sq {
-                max_drift_sq = dr;
-            }
-            self.prev[i] = *p;
-        }
-        self.max_drift_sq = max_drift_sq;
-        self.metrics.moved_nodes += moved;
-        if let Some(bound_sq) = self.bound_sq {
-            if max_step_sq > bound_sq {
-                // Contract violation: the drift accounting no longer
-                // covers this trajectory. Oracle this step; the next
-                // step rebuilds the arena (and resyncs the grid).
-                self.cache.stale = true;
-                self.step_rebuild(points);
-                return;
-            }
-        }
-        if self.cache.stale || self.max_drift_sq > self.drift_limit_sq {
-            let grid = self.grid.as_mut().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
-            grid.reset(points);
-            self.step_cache_rebuild(points);
-        } else if moved == 0 {
-            // Bitwise-identical positions: the snapshot is already
-            // exact — an empty verify step.
-            self.diff.clear();
-            self.metrics.cache_verify_steps += 1;
-        } else {
-            self.cache_verify_pass(points);
-            self.metrics.cache_verify_steps += 1;
-            self.metrics.verify_candidates += self.cache.pairs.len() as u64;
+            None => grid.reset(points),
         }
     }
 
-    /// (Re)builds the candidate arena from the grid — already synced
-    /// to `points` by the caller — at radius `r + skin`, then serves
-    /// the step through a verify pass over the fresh arena. Counted as
-    /// a bulk rescan *and* a cache rebuild: it is one, at the inflated
-    /// radius. Sharded over axis-0 strips exactly like
-    /// [`DynamicGraph::step_bulk`]; packed pairs are unique, so the
-    /// one global unstable sort is a function of the pair *set* alone
-    /// — shard-count (and thread-count) invariance for free.
-    fn step_cache_rebuild(&mut self, points: &[Point<D>]) {
-        let mut frags = std::mem::take(&mut self.shard_pairs);
-        let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
-        let n = grid.len();
-        let rs = self.range + self.skin;
-        let rs2 = rs * rs;
-        self.cache.pairs.clear();
-        let cols = grid.cells_per_side();
-        let n_shards = self.step_threads.min(cols).max(1);
-        let mut shard_scan = ShardScan::default();
-        if n_shards == 1 {
-            let pairs = &mut self.cache.pairs;
-            let examined = grid.scan_forward_pairs(0, cols, rs2, |a, b| {
-                pairs.push(pack_pair(a, b));
-            });
-            shard_scan.absorb(examined, pairs.len() as u64);
-        } else {
-            frags.resize_with(n_shards, Vec::new);
-            let (base, rem) = (cols / n_shards, cols % n_shards);
-            let mut lo = 0usize;
-            let jobs: Vec<_> = frags
-                .drain(..)
-                .enumerate()
-                .map(|(w, mut buf)| {
-                    buf.clear();
-                    let (x_lo, x_hi) = (lo, lo + base + usize::from(w < rem));
-                    lo = x_hi;
-                    move || {
-                        let examined = grid
-                            .scan_forward_pairs(x_lo, x_hi, rs2, |a, b| buf.push(pack_pair(a, b)));
-                        (buf, examined)
-                    }
-                })
-                .collect();
-            debug_assert_eq!(lo, cols, "strips must partition the lattice");
-            for (buf, examined) in parallel::run_jobs(jobs) {
-                shard_scan.absorb(examined, buf.len() as u64);
-                self.cache.pairs.extend_from_slice(&buf);
-                frags.push(buf);
-            }
+    /// Rebuilds the candidate arena — every pair within `r + skin` —
+    /// from the grid, which the caller synced to `points`, and serves
+    /// the step from it. At skin 0 the arena *is* the next edge set
+    /// and commits directly: this is the bulk rescan. Armed, it gets
+    /// its CSR row offsets and a verify pass at the true range serves
+    /// the step. Either way the step counts as one bulk rescan; armed,
+    /// also as one cache rebuild.
+    fn rebuild_arena(&mut self, points: &[Point<D>]) {
+        let n = points.len();
+        let examined = self.scan_pairs(self.range + self.skin);
+        // Counter compatibility: the historical bulk counter tallied
+        // every occupant visit of every node's 3^D-cell neighborhood,
+        // which is one self-visit per node plus both directions of
+        // each examined unordered pair: `2·examined + n`.
+        self.metrics.bulk_rescan_candidates += 2 * examined + n as u64;
+        self.metrics.bulk_rescan_steps += 1;
+        if self.skin == 0.0 {
+            fill_rows(&mut self.next_rows, &self.new_pairs);
+            self.commit_pairs();
+            return;
         }
-        self.shard_pairs = frags;
-        self.cache.pairs.sort_unstable();
-        let offsets = &mut self.cache.offsets;
-        offsets.clear();
-        offsets.resize(n + 1, 0);
-        for &p in &self.cache.pairs {
+        self.arena_offsets.clear();
+        self.arena_offsets.resize(n + 1, 0);
+        let offsets = &mut self.arena_offsets[..];
+        for &p in &self.arena {
             offsets[(p >> 32) as usize + 1] += 1;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        self.cache.stale = false;
         self.max_drift_sq = 0.0;
-        self.metrics.bulk_rescan_candidates += 2 * shard_scan.pairs_examined + n as u64;
-        self.metrics.bulk_rescan_steps += 1;
         self.metrics.cache_rebuilds += 1;
-        self.metrics.cached_pairs += self.cache.pairs.len() as u64;
-        // The rebuild step still owes its snapshot and diff: stream
-        // the fresh arena at the true range.
-        self.cache_verify_pass(points);
+        self.metrics.cached_pairs += self.arena.len() as u64;
+        self.verify_pass(points);
     }
 
-    /// Streams every cached candidate pair against the current
-    /// positions, refilling the snapshot rows and the packed edge list
-    /// and emitting the diff — the armed replacement for any cell
-    /// neighborhood traversal. Sharded over contiguous arena slices
-    /// when the arena is large enough: filtering a sorted list slice
-    /// by slice and concatenating survivors in slice order preserves
-    /// the lex order, so rows, edge list and diff are bit-identical at
-    /// any thread count (and to the serial hoisted-row loop).
-    fn cache_verify_pass(&mut self, points: &[Point<D>]) {
-        self.ensure_edge_pairs();
-        let n = points.len();
+    /// Every pair within `radius`, packed and lex-sorted into the arena
+    /// (armed) or straight into `new_pairs` (skin 0); returns the number
+    /// of candidate pairs examined. The grid's forward half-neighborhood
+    /// sweep is sharded into balanced axis-0 cell strips, one per step
+    /// thread: disjoint strips examine disjoint pair sets, so after one
+    /// global sort of the unique packed pairs the list and the examined
+    /// total are functions of the positions alone, at any thread count.
+    fn scan_pairs(&mut self, radius: f64) -> u64 {
+        let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
+        let r2 = radius * radius;
+        let cols = grid.cells_per_side();
+        let shards = self.step_threads.min(cols).max(1);
+        // Base-width strips, the first `rem` one cell wider — every
+        // cell covered exactly once.
+        let (base, rem) = (cols / shards, cols % shards);
+        // At skin 0 the scanned pairs are the next edge list itself.
+        let out = if self.skin > 0.0 {
+            &mut self.arena
+        } else {
+            &mut self.new_pairs
+        };
+        let examined = fan_out(
+            shards,
+            |w| w * base + w.min(rem),
+            &mut self.shard_pairs,
+            out,
+            |lo, hi, buf| grid.scan_forward_pairs(lo, hi, r2, |a, b| buf.push(pack_pair(a, b))),
+        );
+        out.sort_unstable();
+        examined
+    }
+
+    /// Streams every cached candidate against the current positions at
+    /// the true range (through [`verify_rows`]) and commits the
+    /// survivors as the snapshot; returns the number of candidates
+    /// streamed. One worker fills the snapshot rows as survivors stream
+    /// past. Arenas of at least [`VERIFY_SHARD_MIN_PAIRS`] on more
+    /// threads split into row ranges balanced by pair count, one per
+    /// step thread; their survivors concatenate in row order into the
+    /// same list, which then fills the rows.
+    fn verify_pass(&mut self, points: &[Point<D>]) -> u64 {
         let r2 = self.range * self.range;
-        self.new_pairs.clear();
-        if self.next_rows.len() != n {
-            self.next_rows.resize_with(n, Vec::new);
-        }
+        let (pairs, offsets) = (&self.arena, &self.arena_offsets);
+        let rows = &mut self.next_rows;
+        let streamed = if self.step_threads == 1 || pairs.len() < VERIFY_SHARD_MIN_PAIRS {
+            // Filling rows in the loop, not in a second pass over the
+            // survivors, keeps the pushes under the distance checks'
+            // latency: measurably cheaper on this path.
+            let new_pairs = &mut self.new_pairs;
+            new_pairs.clear();
+            verify_rows(points, pairs, offsets, r2, 0, points.len(), |packed| {
+                new_pairs.push(packed);
+                let (a, b) = unpack_pair(packed);
+                rows[a as usize].push(b);
+                rows[b as usize].push(a);
+            })
+        } else {
+            let shards = self.step_threads;
+            let streamed = fan_out(
+                shards,
+                |w| offsets.partition_point(|&o| o < w * pairs.len() / shards),
+                &mut self.shard_pairs,
+                &mut self.new_pairs,
+                |lo, hi, buf| verify_rows(points, pairs, offsets, r2, lo, hi, |p| buf.push(p)),
+            );
+            fill_rows(rows, &self.new_pairs);
+            streamed
+        };
+        self.commit_pairs();
+        streamed
+    }
+
+    /// Commits `new_pairs`, this step's lex-sorted packed edge list,
+    /// and `next_rows`, filled from it by the caller (sorted by
+    /// construction, see `fill_rows`), as the snapshot: diffs the list
+    /// against the current packed edge list in one linear merge and
+    /// swaps both in — the allocation-free equivalent of
+    /// `from_points` plus `diff`, without per-row sorts or merges. The
+    /// displaced rows are cleared for the next fill, keeping their
+    /// capacity.
+    fn commit_pairs(&mut self) {
+        self.ensure_edge_pairs();
+        merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
+        self.graph
+            .swap_neighbor_rows(&mut self.next_rows, self.new_pairs.len());
+        std::mem::swap(&mut self.edge_pairs, &mut self.new_pairs);
         for row in &mut self.next_rows {
             row.clear();
         }
-        let next = &mut self.next_rows;
-        let new_pairs = &mut self.new_pairs;
-        let cand = &self.cache.pairs;
-        let n_shards = if cand.len() >= VERIFY_SHARD_MIN_PAIRS {
-            self.step_threads.min(cand.len()).max(1)
-        } else {
-            1
-        };
-        if n_shards == 1 {
-            let offsets = &self.cache.offsets;
-            for (a, pa) in points.iter().enumerate() {
-                let (lo, hi) = (offsets[a], offsets[a + 1]);
-                if lo == hi {
-                    continue;
-                }
-                for &packed in &cand[lo..hi] {
-                    let b = packed as u32;
-                    if pa.distance_sq(&points[b as usize]) <= r2 {
-                        new_pairs.push(packed);
-                        next[a].push(b);
-                        next[b as usize].push(a as u32);
-                    }
-                }
-            }
-        } else {
-            let mut frags = std::mem::take(&mut self.shard_pairs);
-            frags.resize_with(n_shards, Vec::new);
-            let (base, rem) = (cand.len() / n_shards, cand.len() % n_shards);
-            let mut lo = 0usize;
-            let jobs: Vec<_> = frags
-                .drain(..)
-                .enumerate()
-                .map(|(w, mut buf)| {
-                    buf.clear();
-                    let (p_lo, p_hi) = (lo, lo + base + usize::from(w < rem));
-                    lo = p_hi;
-                    let slice = &cand[p_lo..p_hi];
-                    move || {
-                        for &packed in slice {
-                            let (a, b) = unpack_pair(packed);
-                            if points[a as usize].distance_sq(&points[b as usize]) <= r2 {
-                                buf.push(packed);
-                            }
-                        }
-                        buf
-                    }
-                })
-                .collect();
-            debug_assert_eq!(lo, cand.len(), "slices must partition the arena");
-            for buf in parallel::run_jobs(jobs) {
-                new_pairs.extend_from_slice(&buf);
-                fill_rows(next, &buf);
-                frags.push(buf);
-            }
-            self.shard_pairs = frags;
-        }
-        // Rows filled from a lex-sorted pair list are already sorted
-        // (see `fill_rows`).
-        merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
-        let pair_count = self.new_pairs.len();
-        self.graph
-            .swap_neighbor_rows(&mut self.next_rows, pair_count);
-        std::mem::swap(&mut self.edge_pairs, &mut self.new_pairs);
     }
 
     /// Re-derives the packed current-edge list from the snapshot after
@@ -1129,8 +1115,7 @@ impl<const D: usize> DynamicGraph<D> {
             for b in (a + 1)..points.len() {
                 if points[a].distance_sq(&points[b]) <= r2 {
                     debug_assert!(
-                        self.cache
-                            .pairs
+                        self.arena
                             .binary_search(&pack_pair(a as u32, b as u32))
                             .is_ok(),
                         "strict-invariants: in-range pair ({a}, {b}) missing from the Verlet candidate arena"
@@ -1246,92 +1231,6 @@ impl<const D: usize> DynamicGraph<D> {
         self.edge_pairs_valid = false;
         self.metrics.moved_rescan_candidates += candidates;
         self.metrics.incremental_steps += 1;
-    }
-
-    /// The bulk-rescan path: most nodes moved, so re-derive the whole
-    /// snapshot through the (already reset) grid as one flat packed
-    /// pair list, diff it against the snapshot's packed edge list in a
-    /// single linear merge, and fill/swap the rows — the
-    /// allocation-free equivalent of `from_points` + `diff`, without
-    /// per-row sorts or merges.
-    ///
-    /// The rescan is a forward half-neighborhood sweep (each unordered
-    /// same-or-adjacent-cell pair examined exactly once, distances off
-    /// the grid's SoA columns), sharded into axis-0 cell strips when
-    /// [`DynamicGraph::set_step_threads`] asks for more than one
-    /// worker. Disjoint strips examine disjoint pair sets, every
-    /// worker fills a private fragment buffer, and fragments
-    /// concatenate in shard order; packed pairs are unique, so the one
-    /// global unstable sort is a function of the pair *set* alone —
-    /// the rows, the diff, and all counters are bit-identical to the
-    /// serial sweep at any thread count.
-    fn step_bulk(&mut self) {
-        self.ensure_edge_pairs();
-        // Detach the fragment buffers before borrowing the grid: the
-        // workers fill them while the grid is shared immutably.
-        let mut frags = std::mem::take(&mut self.shard_pairs);
-        let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
-        let n = grid.len();
-        let r2 = self.range * self.range;
-
-        self.new_pairs.clear();
-        let cols = grid.cells_per_side();
-        let n_shards = self.step_threads.min(cols).max(1);
-        let mut shard_scan = ShardScan::default();
-        if n_shards == 1 {
-            // Serial sweep: emit straight into the pair list.
-            let new_pairs = &mut self.new_pairs;
-            let examined = grid.scan_forward_pairs(0, cols, r2, |a, b| {
-                new_pairs.push(pack_pair(a, b));
-            });
-            shard_scan.absorb(examined, new_pairs.len() as u64);
-        } else {
-            // Balanced axis-0 strips: base-width strips, the first
-            // `rem` one cell wider — every cell covered exactly once.
-            frags.resize_with(n_shards, Vec::new);
-            let (base, rem) = (cols / n_shards, cols % n_shards);
-            let mut lo = 0usize;
-            let jobs: Vec<_> = frags
-                .drain(..)
-                .enumerate()
-                .map(|(w, mut buf)| {
-                    buf.clear();
-                    let (x_lo, x_hi) = (lo, lo + base + usize::from(w < rem));
-                    lo = x_hi;
-                    move || {
-                        let examined = grid
-                            .scan_forward_pairs(x_lo, x_hi, r2, |a, b| buf.push(pack_pair(a, b)));
-                        (buf, examined)
-                    }
-                })
-                .collect();
-            debug_assert_eq!(lo, cols, "strips must partition the lattice");
-            for (buf, examined) in parallel::run_jobs(jobs) {
-                shard_scan.absorb(examined, buf.len() as u64);
-                self.new_pairs.extend_from_slice(&buf);
-                frags.push(buf);
-            }
-        }
-        self.shard_pairs = frags;
-        self.new_pairs.sort_unstable();
-
-        if self.next_rows.len() != n {
-            self.next_rows.resize_with(n, Vec::new);
-        }
-        for row in &mut self.next_rows {
-            row.clear();
-        }
-        fill_rows(&mut self.next_rows, &self.new_pairs);
-        merge_packed_diff(&self.edge_pairs, &self.new_pairs, &mut self.diff);
-        let pairs = self.new_pairs.len();
-        self.graph.swap_neighbor_rows(&mut self.next_rows, pairs);
-        std::mem::swap(&mut self.edge_pairs, &mut self.new_pairs);
-        // Counter compatibility: the historical bulk counter tallied
-        // every occupant visit of every node's 3^D-cell neighborhood,
-        // which is one self-visit per node plus both directions of
-        // each examined unordered pair: `2·examined + n`.
-        self.metrics.bulk_rescan_candidates += 2 * shard_scan.pairs_examined + n as u64;
-        self.metrics.bulk_rescan_steps += 1;
     }
 }
 
@@ -1979,9 +1878,9 @@ mod tests {
         // Remove the arena entry covering true edge (0, 1) and patch
         // the CSR offsets so the arena stays structurally consistent —
         // only the coverage invariant is broken.
-        let idx = dg.cache.pairs.binary_search(&pack_pair(0, 1)).unwrap();
-        dg.cache.pairs.remove(idx);
-        for off in dg.cache.offsets.iter_mut().skip(1) {
+        let idx = dg.arena.binary_search(&pack_pair(0, 1)).unwrap();
+        dg.arena.remove(idx);
+        for off in dg.arena_offsets.iter_mut().skip(1) {
             *off -= 1;
         }
         // An in-bound verify step must now trip the coverage check.

@@ -15,31 +15,44 @@ use crate::{
     stream::{run_connectivity_stream, ConnectivityObserver, StepView},
     SimError,
 };
-use manet_graph::MergeProfile;
+use manet_graph::{WindowStats, WindowedKruskal};
 use manet_mobility::Mobility;
 use manet_stats::FrozenSeries;
 
 /// Observer recording the per-step range needed for a component of
 /// `target` nodes (positions-only stream lane: the Kruskal merge
 /// process answers for every range at once).
+///
+/// Each step's merge profile is windowed around the previous step's
+/// critical range: with the model's declared per-step displacement
+/// bound `d`, no pair distance moves by more than `2d` between
+/// consecutive steps ([`WindowedKruskal::merge_profile`] checks rather
+/// than trusts it).
 struct ComponentRangeObserver {
     target: usize,
+    step_bound: Option<f64>,
+    previous: Option<f64>,
+    kruskal: WindowedKruskal,
     series: Vec<f64>,
 }
 
 impl<const D: usize> ConnectivityObserver<D> for ComponentRangeObserver {
-    type Output = Vec<f64>;
+    type Output = (Vec<f64>, WindowStats);
 
     fn observe(&mut self, view: &StepView<'_, D>) {
-        let profile = MergeProfile::of(view.positions());
+        let drift = self.step_bound.map(|d| 2.0 * d);
+        let profile = self
+            .kruskal
+            .merge_profile(view.positions(), self.previous, drift);
+        self.previous = profile.critical_range();
         let r = profile
             .range_for_size(self.target)
             .expect("target validated against n at config time"); // lint:allow(R3): target validated against n at config time
         self.series.push(r);
     }
 
-    fn finish(self) -> Vec<f64> {
-        self.series
+    fn finish(self) -> (Vec<f64>, WindowStats) {
+        (self.series, self.kruskal.stats())
     }
 }
 
@@ -49,9 +62,19 @@ impl<const D: usize> ConnectivityObserver<D> for ComponentRangeObserver {
 pub struct ComponentRangeResults {
     per_iteration: Vec<FrozenSeries>,
     target: usize,
+    window_stats: WindowStats,
 }
 
 impl ComponentRangeResults {
+    /// How the per-step merge profiles were computed, summed over
+    /// iterations: from the window around the previous step's critical
+    /// range, or by the [`manet_graph::MergeProfile::of`] oracle (each
+    /// iteration's step 0, models without a declared displacement
+    /// bound, rejected windows).
+    pub fn window_stats(&self) -> WindowStats {
+        self.window_stats
+    }
+
     /// Per-iteration sorted series.
     pub fn per_iteration(&self) -> &[FrozenSeries] {
         &self.per_iteration
@@ -116,17 +139,24 @@ where
         });
     }
     let target = ((fraction * config.nodes() as f64).ceil() as usize).clamp(1, config.nodes());
-    let raw = run_connectivity_stream(config, model, None, |_| ComponentRangeObserver {
+    let step_bound = model.max_step_displacement();
+    let runs = run_connectivity_stream(config, model, None, |_| ComponentRangeObserver {
         target,
+        step_bound,
+        previous: None,
+        kruskal: WindowedKruskal::new(),
         series: Vec::with_capacity(config.steps()),
     })?;
-    let per_iteration = raw
-        .into_iter()
-        .map(FrozenSeries::new)
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut window_stats = WindowStats::default();
+    let mut per_iteration = Vec::with_capacity(runs.len());
+    for (series, stats) in runs {
+        window_stats.merge(&stats);
+        per_iteration.push(FrozenSeries::new(series)?);
+    }
     Ok(ComponentRangeResults {
         per_iteration,
         target,
+        window_stats,
     })
 }
 
@@ -195,6 +225,78 @@ mod tests {
             prev = a;
         }
         assert_eq!(res.availability_at(1000.0), 1.0);
+    }
+
+    /// The Kruskal merge-profile oracle, step by step.
+    struct OracleRanges {
+        target: usize,
+        series: Vec<f64>,
+    }
+
+    impl ConnectivityObserver<2> for OracleRanges {
+        type Output = Vec<f64>;
+
+        fn observe(&mut self, view: &StepView<'_, 2>) {
+            let profile = manet_graph::MergeProfile::of(view.positions());
+            self.series
+                .push(profile.range_for_size(self.target).unwrap());
+        }
+
+        fn finish(self) -> Vec<f64> {
+            self.series
+        }
+    }
+
+    /// The windowed per-step series, in time order, is bit-identical
+    /// to the oracle's on the same trajectories: windowed after step 0
+    /// under a declared bound, and all from the oracle without one.
+    #[test]
+    fn per_step_series_equals_the_oracle() {
+        use manet_mobility::{ModelRegistry, PaperScale};
+
+        let cfg = config(24, 200.0, 2, 30);
+        let scale = PaperScale::new(200.0).with_pause(5);
+        let registry = ModelRegistry::<2>::with_builtins();
+        for (name, bounded) in [("waypoint", true), ("gauss-markov", false)] {
+            let model = registry.build(name, &scale).unwrap();
+            assert_eq!(model.max_step_displacement().is_some(), bounded, "{name}");
+            let target = 18;
+            let windowed =
+                run_connectivity_stream(&cfg, &model, None, |_| ComponentRangeObserver {
+                    target,
+                    step_bound: model.max_step_displacement(),
+                    previous: None,
+                    kruskal: WindowedKruskal::new(),
+                    series: Vec::new(),
+                })
+                .unwrap();
+            let oracle = run_connectivity_stream(&cfg, &model, None, |_| OracleRanges {
+                target,
+                series: Vec::new(),
+            })
+            .unwrap();
+            let mut stats = WindowStats::default();
+            for ((series, s), expected) in windowed.iter().zip(&oracle) {
+                let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(series), bits(expected), "{name}: series diverged");
+                stats.merge(s);
+            }
+            let expected = if bounded {
+                WindowStats {
+                    windowed: 2 * 29,
+                    cold: 2,
+                    rejected: 0,
+                }
+            } else {
+                WindowStats {
+                    cold: 2 * 30,
+                    ..WindowStats::default()
+                }
+            };
+            assert_eq!(stats, expected, "{name}");
+            let res = simulate_component_ranges(&cfg, &model, 0.75).unwrap();
+            assert_eq!(res.window_stats(), expected, "{name}: results");
+        }
     }
 
     #[test]

@@ -247,10 +247,10 @@ impl<O, const D: usize> ConnectivityStream<O, D> {
     }
 
     /// Sets the intra-step worker-thread count for the kernel's
-    /// sharded bulk rescan (chainable; default 1 = serial). Every
-    /// observable — snapshots, diffs, counters, artifacts — is
+    /// sharded arena scan and verify (chainable; default 1 = serial).
+    /// Every observable — snapshots, diffs, counters, artifacts — is
     /// bit-identical across values (see
-    /// [`DynamicGraph::set_step_threads`]).
+    /// [`DynamicGraph::with_step_threads`]).
     ///
     /// # Panics
     ///

@@ -390,8 +390,9 @@ fn stream_survives_models_that_lie_about_their_displacement_bound() {
 // ---------------------------------------------------------------------------
 
 /// Paper waypoint (registry defaults at a fig2 cell, pause scaled to the
-/// horizon) declares an honest bound, so both observers answer every
-/// step but each iteration's first from the window.
+/// horizon) declares an honest bound, so the critical-range, profile and
+/// component-range observers answer every step but each iteration's
+/// first from the window.
 #[test]
 fn paper_waypoint_falls_back_only_on_step_zero() {
     use manet_mobility::{ModelRegistry, PaperScale};
@@ -416,4 +417,8 @@ fn paper_waypoint_falls_back_only_on_step_zero() {
     assert_eq!((crit.cold, crit.rejected, crit.windowed), (3, 0, 3 * 299));
     let prof = simulate_profiles(&cfg, &model).unwrap().window_stats();
     assert_eq!((prof.cold, prof.rejected, prof.windowed), (3, 0, 3 * 59));
+    let comp = simulate_component_ranges(&cfg, &model, 0.9)
+        .unwrap()
+        .window_stats();
+    assert_eq!((comp.cold, comp.rejected, comp.windowed), (3, 0, 3 * 299));
 }
