@@ -465,10 +465,10 @@ pub struct DynamicGraph<const D: usize> {
     /// inner loop. Both keep their capacity across rebuilds.
     arena: Vec<u64>,
     arena_offsets: Vec<usize>,
-    /// The previous step's positions, the reference of the per-step
-    /// measure. Unarmed they equal the grid's; armed, the grid stays
-    /// frozen at the last arena build (its points *are* the drift
-    /// reference), so the kernel keeps its own copy.
+    /// Armed mode: the previous step's positions. Unarmed, the grid
+    /// holds them, but armed it stays frozen at the last arena build
+    /// (its points *are* the drift reference), so the per-step measure
+    /// needs its own copy.
     prev: Vec<Point<D>>,
     /// Armed mode: running max squared drift of any node from its
     /// position at the last arena build; infinite once a fallback step
@@ -526,7 +526,7 @@ impl<const D: usize> DynamicGraph<D> {
             old_stamp: vec![0; points.len()],
             matched_stamp: vec![0; points.len()],
             scan_id: 0,
-            next_rows: vec![Vec::new(); points.len()],
+            next_rows: Vec::new(),
             step_threads: 1,
             shard_pairs: Vec::new(),
             edge_pairs: Vec::new(),
@@ -537,7 +537,7 @@ impl<const D: usize> DynamicGraph<D> {
             drift_limit_sq: 0.0,
             arena: Vec::new(),
             arena_offsets: Vec::new(),
-            prev: points.to_vec(),
+            prev: Vec::new(),
             max_drift_sq: 0.0,
             metrics: StepKernelMetrics::default(),
         };
@@ -781,13 +781,13 @@ impl<const D: usize> DynamicGraph<D> {
         }
     }
 
-    /// Measures the step in one pass against the previous positions:
-    /// refills `moved` with the nodes whose position changed (bitwise
-    /// coordinate comparison, ascending), returns the largest squared
-    /// per-step displacement (`0.0` when nothing moved) and, armed,
-    /// raises the running drift maximum against the grid's positions,
-    /// frozen at the last arena build. Unarmed, the grid is synced
-    /// every step, so there is no drift to track.
+    /// Measures the step in one pass against the previous positions
+    /// (the grid's unarmed, `prev` armed): refills `moved` with the
+    /// nodes whose position changed (bitwise coordinate comparison,
+    /// ascending), returns the largest squared per-step displacement
+    /// (`0.0` when nothing moved) and, armed, raises the running drift
+    /// maximum against the grid's positions, frozen at the last arena
+    /// build.
     fn measure(&mut self, points: &[Point<D>]) -> f64 {
         let grid = self.grid.as_ref().expect("caller checked the grid"); // lint:allow(R3): step() dispatches here only when the grid exists
         let refs = grid.points();
@@ -795,12 +795,13 @@ impl<const D: usize> DynamicGraph<D> {
         self.moved.clear();
         let mut max_step_sq = 0.0f64;
         let mut max_drift_sq = self.max_drift_sq;
-        for (i, (p, prev)) in points.iter().zip(self.prev.iter_mut()).enumerate() {
-            if *p == *prev {
+        for (i, p) in points.iter().enumerate() {
+            let last = if armed { self.prev[i] } else { refs[i] };
+            if *p == last {
                 continue;
             }
             self.moved.push(i as u32);
-            let d2 = p.distance_sq(prev);
+            let d2 = p.distance_sq(&last);
             if d2 > max_step_sq {
                 max_step_sq = d2;
             }
@@ -809,8 +810,8 @@ impl<const D: usize> DynamicGraph<D> {
                 if dr > max_drift_sq {
                     max_drift_sq = dr;
                 }
+                self.prev[i] = *p;
             }
-            *prev = *p;
         }
         self.max_drift_sq = max_drift_sq;
         max_step_sq
@@ -869,6 +870,7 @@ impl<const D: usize> DynamicGraph<D> {
             Some(s) => {
                 self.skin = s;
                 self.drift_limit_sq = (0.5 * s) * (0.5 * s);
+                self.prev = points.to_vec();
             }
             None => grid.reset(points),
         }
@@ -883,6 +885,7 @@ impl<const D: usize> DynamicGraph<D> {
     /// also as one cache rebuild.
     fn rebuild_arena(&mut self, points: &[Point<D>]) {
         let n = points.len();
+        self.next_rows.resize_with(n, Vec::new);
         let examined = self.scan_pairs(self.range + self.skin);
         // Counter compatibility: the historical bulk counter tallied
         // every occupant visit of every node's 3^D-cell neighborhood,
@@ -925,7 +928,6 @@ impl<const D: usize> DynamicGraph<D> {
         // Base-width strips, the first `rem` one cell wider — every
         // cell covered exactly once.
         let (base, rem) = (cols / shards, cols % shards);
-        // At skin 0 the scanned pairs are the next edge list itself.
         let out = if self.skin > 0.0 {
             &mut self.arena
         } else {
@@ -955,9 +957,8 @@ impl<const D: usize> DynamicGraph<D> {
         let (pairs, offsets) = (&self.arena, &self.arena_offsets);
         let rows = &mut self.next_rows;
         let streamed = if self.step_threads == 1 || pairs.len() < VERIFY_SHARD_MIN_PAIRS {
-            // Filling rows in the loop, not in a second pass over the
-            // survivors, keeps the pushes under the distance checks'
-            // latency: measurably cheaper on this path.
+            // Rows filled here, not in a second pass over the survivors,
+            // hide the pushes under the distance checks: measurably faster.
             let new_pairs = &mut self.new_pairs;
             new_pairs.clear();
             verify_rows(points, pairs, offsets, r2, 0, points.len(), |packed| {
