@@ -33,5 +33,5 @@ pub mod metrics;
 pub mod span;
 
 pub use manifest::RunManifest;
-pub use metrics::{ComponentMetrics, GridMetrics, KernelMetrics, ShardScan, StepKernelMetrics};
+pub use metrics::{ComponentMetrics, GridMetrics, KernelMetrics, StepKernelMetrics};
 pub use span::{SpanEntry, SpanReport, SpanStats, SpanTimer};
